@@ -201,3 +201,34 @@ class TestBatchEdgePush:
         gt = ground_truth(g.csr, 2, alpha=ALPHA)
         res = edge_push(g, 2, alpha=ALPHA, mode="l1", tol=0.1)
         assert np.abs(res.vector(g.n) - gt).sum() <= 0.1 + 1e-9
+
+
+WORK_RUNS = ["ep_l1", "ep_l1_scan", "ep_add", "lp_l1", "lp_scan"]
+# (supersteps, pushes, edge_touches) from source 0, recorded per graph in
+# WORK_RUNS order; a loop that mis-books scan-mode pushes changes these
+# while still meeting every error bound.
+EXPECTED_WORK = {
+    "star": [(18, 186, 186), (18, 186, 186), (28, 890, 890), (17, 329, 679), (28, 573, 1119)],
+    "er_lognormal": [(27, 3500, 3500), (29, 5397, 5397), (8, 205, 205), (25, 770, 5345), (6, 164, 1165)],
+    "complete_unbalanced": [(25, 1917, 1917), (23, 14055, 14055), (20, 1234, 1234), (25, 169, 7943), (20, 821, 38587)],
+}
+
+
+@pytest.mark.parametrize("graph_name", sorted(EXPECTED_WORK))
+@pytest.mark.parametrize("run", WORK_RUNS)
+def test_exact_work(spark, graph_name, run):
+    """Pin the superstep schedule's exact work, scan-mode pushes included."""
+    g = get_graph(spark, graph_name)
+    if run == "ep_l1":
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05)
+    elif run == "ep_l1_scan":
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan_frac=0.05)
+    elif run == "ep_add":
+        res = edge_push(g, 0, alpha=ALPHA, mode="additive", tol=1e-3)
+    elif run == "lp_l1":
+        res = local_push(g, 0, alpha=ALPHA, theta=0.05 / g.norm_a())
+    else:
+        res = local_push(g, 0, alpha=ALPHA, theta=1e-3, scan_frac=0.05)
+    c = res.cost
+    expected = EXPECTED_WORK[graph_name][WORK_RUNS.index(run)]
+    assert (c.supersteps, c.pushes, c.edge_touches) == expected
