@@ -27,7 +27,7 @@ from repro.core.localpush import local_push
 from repro.core.montecarlo import monte_carlo
 from repro.core.power import ground_truth, power_method
 from repro.core.sequential import sequential_edge_push, sequential_local_push
-from repro.core.speedppr import pow_for_push, speedppr
+from repro.core.speedppr import DEFAULT_SCAN_FRAC, speedppr
 from repro.graphs import datasets as ds
 from repro.graphs.graph import WeightedGraph
 
@@ -62,11 +62,14 @@ def table2_rows(spark: SparkSession, keys=ds.ALL_KEYS) -> pd.DataFrame:
 
 
 # ------------------------------------------------- shared per-run evaluation
-def _evaluate(graph: WeightedGraph, gt: np.ndarray, res, *, k: int = 50) -> dict:
+def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) -> dict:
+    """One result row: the identifying columns ``ids`` in the order given,
+    then the run's error, precision, clustering and cost metrics."""
     csr = graph.csr
     est = res.vector(graph.n)
     best_phi, best_size = M.sweep_conductance(csr, est / csr.deg)
     return {
+        **ids,
         "l1_err": M.l1_error(est, gt),
         "max_add_err": M.max_add_err(est, gt),
         "norm_max_add_err": M.normalized_max_add_err(est, gt, csr.deg),
@@ -102,46 +105,38 @@ def additive_tradeoff(
     rows = []
     gts = {s: ground_truth(graph.csr, s, alpha=ALPHA) for s in sources}
     for s in sources:
-        gt = gts[s]
-
-        def record(method, param_name, param, res):
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "method": method,
-                    "source": s,
-                    "param": f"{param_name}={param:g}",
-                    **_evaluate(graph, gt, res),
-                }
-            )
-
+        runs = []
         for rmax in rmax_grid:
             if "EdgePush-Add" in methods:
-                record(
-                    "EdgePush-Add", "rmax", rmax,
+                runs.append((
+                    "EdgePush-Add", f"rmax={rmax:g}",
                     edge_push(graph, s, alpha=ALPHA, mode="additive", tol=rmax),
-                )
+                ))
             if "MAPPR" in methods:
-                record(
-                    "MAPPR", "theta", rmax,
+                runs.append((
+                    "MAPPR", f"theta={rmax:g}",
                     local_push(graph, s, alpha=ALPHA, theta=rmax),
-                )
+                ))
         for delta in delta_grid:
             if "MC" in methods:
-                record(
-                    "MC", "delta", delta,
+                runs.append((
+                    "MC", f"delta={delta:g}",
                     monte_carlo(graph, s, alpha=ALPHA, delta=delta, seed=seed),
-                )
+                ))
             if "FORA" in methods:
-                record(
-                    "FORA", "delta", delta,
+                runs.append((
+                    "FORA", f"delta={delta:g}",
                     fora(graph, s, alpha=ALPHA, delta=delta, seed=seed),
-                )
+                ))
             if "SpeedPPR" in methods:
-                record(
-                    "SpeedPPR", "delta", delta,
+                runs.append((
+                    "SpeedPPR", f"delta={delta:g}",
                     speedppr(graph, s, alpha=ALPHA, delta=delta, seed=seed),
-                )
+                ))
+        rows += [
+            _row(graph, gts[s], res, dataset=dataset, method=m, source=s, param=p)
+            for m, p, res in runs
+        ]
     return pd.DataFrame(rows)
 
 
@@ -154,41 +149,37 @@ def l1_tradeoff(
     sources: list[int],
     eps_grid=(1e-1, 1e-2, 1e-3),
     iters_grid=(3, 5, 7, 9),
-    scan_frac: float = 0.125,
+    scan_frac: float = DEFAULT_SCAN_FRAC,
 ) -> pd.DataFrame:
-    """ℓ1-error vs work for EdgePush (scan-switched) vs PowForPush vs
-    Power Method — the §6.2 comparison."""
+    """ℓ1-error vs work for EdgePush (scan-switched) vs PowForPush (LocalPush
+    with the same scan switch) vs Power Method — the §6.2 comparison."""
     rows = []
     for s in sources:
         gt = ground_truth(graph.csr, s, alpha=ALPHA)
-
-        def record(method, param_name, param, res):
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "method": method,
-                    "source": s,
-                    "param": f"{param_name}={param:g}",
-                    **_evaluate(graph, gt, res),
-                }
-            )
-
+        runs = []
         for eps in eps_grid:
-            record(
-                "EdgePush", "eps", eps,
+            runs.append((
+                "EdgePush", f"eps={eps:g}",
                 edge_push(
                     graph, s, alpha=ALPHA, mode="l1", tol=eps, scan_frac=scan_frac
                 ),
-            )
-            record(
-                "PowForPush", "eps", eps,
-                pow_for_push(
+            ))
+            runs.append((
+                "PowForPush", f"eps={eps:g}",
+                local_push(
                     graph, s, alpha=ALPHA, theta=eps / graph.norm_a(),
                     scan_frac=scan_frac,
                 ),
-            )
+            ))
         for iters in iters_grid:
-            record("PowerMethod", "iters", iters, power_method(graph, s, alpha=ALPHA, iters=iters))
+            runs.append((
+                "PowerMethod", f"iters={iters:g}",
+                power_method(graph, s, alpha=ALPHA, iters=iters),
+            ))
+        rows += [
+            _row(graph, gt, res, dataset=dataset, method=m, source=s, param=p)
+            for m, p, res in runs
+        ]
     return pd.DataFrame(rows)
 
 
@@ -225,44 +216,38 @@ def unbalance_sweep(
         srcs = g.sample_sources(sources, seed=seed)
         for s in srcs:
             gt = ground_truth(csr, s, alpha=ALPHA)
+            runs = []
             for rmax in rmax_grid:
-                for method, res in (
-                    ("EdgePush-Add", edge_push(g, s, alpha=ALPHA, mode="additive", tol=rmax)),
-                    ("LocalPush", local_push(g, s, alpha=ALPHA, theta=rmax)),
-                ):
-                    rows.append(
-                        {
-                            "graph": f"affinity-{i+1}(k={cfg['kappa']})",
-                            "regime": "additive",
-                            "cos2_phi": round(c2, 3),
-                            "add_factor": round(add_f, 3),
-                            "paper_cos2": PAPER_COS2[i],
-                            "paper_add_factor": PAPER_ADD_FACTOR[i],
-                            "method": method,
-                            "source": s,
-                            "param": f"rmax={rmax:g}",
-                            **_evaluate(g, gt, res),
-                        }
-                    )
+                param = f"rmax={rmax:g}"
+                runs += [
+                    ("additive", "EdgePush-Add", param,
+                     edge_push(g, s, alpha=ALPHA, mode="additive", tol=rmax)),
+                    ("additive", "LocalPush", param,
+                     local_push(g, s, alpha=ALPHA, theta=rmax)),
+                ]
             for eps in eps_grid:
-                for method, res in (
-                    ("EdgePush", edge_push(g, s, alpha=ALPHA, mode="l1", tol=eps)),
-                    ("LocalPush", local_push(g, s, alpha=ALPHA, theta=eps / g.norm_a())),
-                ):
-                    rows.append(
-                        {
-                            "graph": f"affinity-{i+1}(k={cfg['kappa']})",
-                            "regime": "l1",
-                            "cos2_phi": round(c2, 3),
-                            "add_factor": round(add_f, 3),
-                            "paper_cos2": PAPER_COS2[i],
-                            "paper_add_factor": PAPER_ADD_FACTOR[i],
-                            "method": method,
-                            "source": s,
-                            "param": f"eps={eps:g}",
-                            **_evaluate(g, gt, res),
-                        }
-                    )
+                param = f"eps={eps:g}"
+                runs += [
+                    ("l1", "EdgePush", param,
+                     edge_push(g, s, alpha=ALPHA, mode="l1", tol=eps)),
+                    ("l1", "LocalPush", param,
+                     local_push(g, s, alpha=ALPHA, theta=eps / g.norm_a())),
+                ]
+            rows += [
+                _row(
+                    g, gt, res,
+                    graph=f"affinity-{i+1}(k={cfg['kappa']})",
+                    regime=regime,
+                    cos2_phi=round(c2, 3),
+                    add_factor=round(add_f, 3),
+                    paper_cos2=PAPER_COS2[i],
+                    paper_add_factor=PAPER_ADD_FACTOR[i],
+                    method=method,
+                    source=s,
+                    param=param,
+                )
+                for regime, method, param, res in runs
+            ]
     return pd.DataFrame(rows)
 
 

@@ -16,18 +16,22 @@ the node-income vector q; the estimate is ``π̂ = α·q``. Work accounting:
 each edge push costs O(1) — one edge touch — which is precisely the
 quantity Lemma 3 bounds.
 
-``scan_frac`` mirrors the §6.2 switching technique: when the candidate set
-exceeds ``scan_frac · 2m`` edges, the superstep pushes *all* edges with
-r > 0 (sequential scan over the edge array) instead of only candidates.
+The superstep loop, with the §6.2 scan switch over the 2m edges, is
+:func:`repro.core.runtime.push_supersteps`; this module supplies the edge
+push rule.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.power import PPRResult
-from repro.core.runtime import CostStats, few_shuffle_partitions, state_checkpoint
+from repro.core.runtime import (
+    CostStats,
+    check_query,
+    few_shuffle_partitions,
+    push_supersteps,
+)
 from repro.core.thresholds import thresholds_df
 from repro.graphs.graph import WeightedGraph
 
@@ -54,13 +58,46 @@ def edge_push(
     once when sweeping sources.
 
     With ``return_residue`` the terminal edge state ``(src, dst, p, theta,
-    r)`` is also returned for invariant tests.
+    r)`` is also returned for invariant tests. Raises ``ValueError`` for
+    α ∉ (0,1) or a source that is not a node with edges.
     """
-    spark = graph.spark
+    check_query(graph.n, source, alpha)
     if thresholds is None:
         thresholds = thresholds_df(graph, mode=mode, tol=tol)
     two_m = graph.num_directed_edges()
-    with few_shuffle_partitions(spark):
+
+    def step(edges: DataFrame, q: DataFrame, push_cond) -> tuple[DataFrame, DataFrame]:
+        inc = (
+            edges.filter(push_cond)
+            .groupBy("dst")
+            .agg(F.sum("r").alias("inc"))
+            .withColumnRenamed("dst", "inode")
+        )
+        q = (
+            q.join(inc, q.node == inc.inode, "left")
+            .select(
+                "node",
+                (F.col("q") + F.coalesce(F.col("inc"), F.lit(0.0))).alias("q"),
+            )
+        )
+        edges = (
+            edges.join(inc, edges.src == inc.inode, "left")
+            .select(
+                "src",
+                "dst",
+                "p",
+                "theta",
+                (
+                    F.when(push_cond, 0.0).otherwise(F.col("r"))
+                    + (1.0 - alpha)
+                    * F.coalesce(F.col("inc"), F.lit(0.0))
+                    * F.col("p")
+                ).alias("r"),
+            )
+        )
+        return edges, q
+
+    with few_shuffle_partitions(graph.spark):
         # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
         edges = thresholds.select(
             "src",
@@ -71,63 +108,25 @@ def edge_push(
             .otherwise(0.0)
             .alias("r"),
         )
-        edges = state_checkpoint(edges)
         # node income q; π̂ = α·q
         q = graph.degrees.select(
             "node", F.when(F.col("node") == source, 1.0).otherwise(0.0).alias("q")
         )
-        q = state_checkpoint(q)
-        cost = CostStats().start()
-        for _ in range(max_supersteps):
-            # the strict r > 0 guard makes zero residues never eligible even
-            # if a threshold degenerates; pushing zero mass is a no-op
-            is_cand = (F.col("r") >= F.col("theta")) & (F.col("r") > 0)
-            agg = edges.agg(
-                F.sum(is_cand.cast("long")).alias("n_cand"),
-                F.sum((F.col("r") > 0).cast("long")).alias("n_nz"),
-            ).collect()[0]
-            if not agg["n_cand"]:
-                break
-            scan = scan_frac is not None and agg["n_cand"] > scan_frac * two_m
-            push_cond = (F.col("r") > 0) if scan else is_cand
-            pushes = agg["n_nz"] if scan else agg["n_cand"]
-
-            inc = (
-                edges.filter(push_cond)
-                .groupBy("dst")
-                .agg(F.sum("r").alias("inc"))
-                .withColumnRenamed("dst", "inode")
-            )
-            q = (
-                q.join(inc, q.node == inc.inode, "left")
-                .select(
-                    "node",
-                    (F.col("q") + F.coalesce(F.col("inc"), F.lit(0.0))).alias("q"),
-                )
-            )
-            edges = (
-                edges.join(inc, edges.src == inc.inode, "left")
-                .select(
-                    "src",
-                    "dst",
-                    "p",
-                    "theta",
-                    (
-                        F.when(push_cond, 0.0).otherwise(F.col("r"))
-                        + (1.0 - alpha)
-                        * F.coalesce(F.col("inc"), F.lit(0.0))
-                        * F.col("p")
-                    ).alias("r"),
-                )
-            )
-            edges = state_checkpoint(edges)
-            q = state_checkpoint(q)
-            cost.add_superstep(pushes=pushes, edge_touches=pushes)
-        cost.stop()
+        cost = CostStats()
+        (edges, q), converged = push_supersteps(
+            (edges, q),
+            step,
+            cost,
+            threshold=F.col("theta"),
+            touches=F.lit(1),
+            scan_size=two_m,
+            scan_frac=scan_frac,
+            max_supersteps=max_supersteps,
+        )
         est = (
             q.filter(F.col("q") > 0)
             .select("node", (F.lit(alpha) * F.col("q")).alias("est"))
             .toPandas()
         )
-    result = PPRResult(estimate=est, cost=cost)
+    result = PPRResult(estimate=est, cost=cost, converged=converged)
     return (result, edges) if return_residue else result

@@ -59,7 +59,7 @@ def mc_repair(
             .groupby("node", as_index=False)["est"]
             .sum()
         )
-    return PPRResult(estimate=est, cost=cost)
+    return PPRResult(estimate=est, cost=cost, converged=push_res.converged)
 
 
 def balanced_theta(graph: WeightedGraph, *, alpha: float, omega: int) -> float:

@@ -11,19 +11,23 @@ Work accounting matches the paper's: each pushed node u costs n(u) edge
 touches (the node-granular push must write *every* incident edge — the
 inefficiency EdgePush removes).
 
-``scan_frac`` enables the PowForPush-style sequential-scan switch (§6.2 /
-Wu et al.): when more than ``scan_frac·n`` nodes are active, the superstep
-pushes *every* node with r > 0 (a power-iteration pass over the residual
-vector, cost ≈ 2m) instead of only supra-threshold ones.
+The superstep loop, with the PowForPush scan switch over the n nodes (a
+scan superstep is a power-iteration pass, cost ≈ 2m), is
+:func:`repro.core.runtime.push_supersteps`; this module supplies the node
+push rule.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.power import PPRResult
-from repro.core.runtime import CostStats, few_shuffle_partitions, state_checkpoint
+from repro.core.runtime import (
+    CostStats,
+    check_query,
+    few_shuffle_partitions,
+    push_supersteps,
+)
 from repro.graphs.graph import WeightedGraph
 
 
@@ -42,66 +46,60 @@ def local_push(
     ``θ = ε/‖A‖₁`` gives ℓ1-error ≤ ε (Fact 1); ``θ = r_max`` gives
     normalized additive error ≤ r_max (Fact 2). With ``return_state`` the
     terminal per-node state ``(node, deg, nbrs, r, pi)`` is also returned
-    (FORA/SpeedPPR compensate the residual with random walks).
+    (FORA/SpeedPPR compensate the residual with random walks). Raises
+    ``ValueError`` for α ∉ (0,1) or a source that is not a node with edges.
     """
-    spark = graph.spark
+    check_query(graph.n, source, alpha)
     tedges = graph.transition.select("src", "dst", "p")
-    with few_shuffle_partitions(spark):
+
+    def step(state: DataFrame, push_cond) -> tuple[DataFrame]:
+        msgs = (
+            state.filter(push_cond)
+            .join(tedges, F.col("node") == tedges.src)
+            .select(
+                F.col("dst").alias("node"),
+                ((1.0 - alpha) * F.col("r") * F.col("p")).alias("inc"),
+            )
+            .groupBy("node")
+            .agg(F.sum("inc").alias("inc"))
+        )
+        state = (
+            state.join(msgs, on="node", how="left")
+            .select(
+                "node",
+                "deg",
+                "nbrs",
+                (
+                    F.when(push_cond, 0.0).otherwise(F.col("r"))
+                    + F.coalesce(F.col("inc"), F.lit(0.0))
+                ).alias("r"),
+                (
+                    F.col("pi")
+                    + F.when(push_cond, F.lit(alpha) * F.col("r")).otherwise(0.0)
+                ).alias("pi"),
+            )
+        )
+        return (state,)
+
+    with few_shuffle_partitions(graph.spark):
         state = graph.degrees.withColumn(
             "r", F.when(F.col("node") == source, 1.0).otherwise(0.0)
         ).withColumn("pi", F.lit(0.0))
-        state = state_checkpoint(state)
-        cost = CostStats().start()
-        for _ in range(max_supersteps):
-            # strict r > 0 guard: a degenerate (underflowed) d(u)·θ must not
-            # make zero-residue nodes permanently active
-            is_active = (F.col("r") >= F.col("deg") * F.lit(theta)) & (F.col("r") > 0)
-            agg = state.agg(
-                F.sum(is_active.cast("long")).alias("n_active"),
-                F.sum(F.when(is_active, F.col("nbrs")).otherwise(0)).alias("active_nbrs"),
-                F.sum(F.when(F.col("r") > 0, F.col("nbrs")).otherwise(0)).alias("nz_nbrs"),
-                F.sum((F.col("r") > 0).cast("long")).alias("n_nz"),
-            ).collect()[0]
-            if not agg["n_active"]:
-                break
-            scan = scan_frac is not None and agg["n_active"] > scan_frac * graph.n
-            push_cond = (F.col("r") > 0) if scan else is_active
-            touches = agg["nz_nbrs"] if scan else agg["active_nbrs"]
-            pushes = agg["n_nz"] if scan else agg["n_active"]
-
-            msgs = (
-                state.filter(push_cond)
-                .join(tedges, F.col("node") == tedges.src)
-                .select(
-                    F.col("dst").alias("node"),
-                    ((1.0 - alpha) * F.col("r") * F.col("p")).alias("inc"),
-                )
-                .groupBy("node")
-                .agg(F.sum("inc").alias("inc"))
-            )
-            state = (
-                state.join(msgs, on="node", how="left")
-                .select(
-                    "node",
-                    "deg",
-                    "nbrs",
-                    (
-                        F.when(push_cond, 0.0).otherwise(F.col("r"))
-                        + F.coalesce(F.col("inc"), F.lit(0.0))
-                    ).alias("r"),
-                    (
-                        F.col("pi")
-                        + F.when(push_cond, F.lit(alpha) * F.col("r")).otherwise(0.0)
-                    ).alias("pi"),
-                )
-            )
-            state = state_checkpoint(state)
-            cost.add_superstep(pushes=pushes, edge_touches=touches)
-        cost.stop()
+        cost = CostStats()
+        (state,), converged = push_supersteps(
+            (state,),
+            step,
+            cost,
+            threshold=F.col("deg") * F.lit(theta),
+            touches=F.col("nbrs"),
+            scan_size=graph.n,
+            scan_frac=scan_frac,
+            max_supersteps=max_supersteps,
+        )
         est = (
             state.filter(F.col("pi") > 0)
             .select("node", F.col("pi").alias("est"))
             .toPandas()
         )
-    result = PPRResult(estimate=est, cost=cost)
+    result = PPRResult(estimate=est, cost=cost, converged=converged)
     return (result, state) if return_state else result

@@ -50,11 +50,14 @@ class PPRResult:
 
     ``estimate`` maps node -> π̂(node) (nodes with π̂=0 may be absent).
     ``cost`` is the machine-independent work metric (edge touches), the
-    quantity the paper's Table 1 bounds.
+    quantity the paper's Table 1 bounds. ``converged`` is False when a push
+    run stopped at its superstep cap with candidates left, so the paper's
+    bound does not hold for ``estimate``.
     """
 
     estimate: pd.DataFrame  # columns: node, est
     cost: CostStats
+    converged: bool = True
 
     def vector(self, n: int) -> np.ndarray:
         v = np.zeros(n)

@@ -11,6 +11,10 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   algorithm's loop and restores the session value afterwards (the session
   is shared with other tests).
 
+:func:`push_supersteps` is the one bulk-synchronous loop behind batch
+EdgePush and LocalPush; each method supplies only its state, threshold,
+per-push touches and push rule.
+
 :class:`CostStats` is the machine-independent work metric every algorithm
 reports: the paper's Table 1 bounds exactly these counts (edge touches /
 pushes), so shape comparisons in EXPERIMENTS.md use them alongside
@@ -21,8 +25,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 
 @dataclass
@@ -55,16 +61,6 @@ class CostStats:
         self.walk_steps += int(steps)
         self.edge_touches += int(steps)
 
-    def merged(self, other: "CostStats") -> "CostStats":
-        return CostStats(
-            supersteps=self.supersteps + other.supersteps,
-            pushes=self.pushes + other.pushes,
-            edge_touches=self.edge_touches + other.edge_touches,
-            walks=self.walks + other.walks,
-            walk_steps=self.walk_steps + other.walk_steps,
-            wall_seconds=self.wall_seconds + other.wall_seconds,
-        )
-
 
 @contextmanager
 def few_shuffle_partitions(spark: SparkSession, k: int = 8):
@@ -81,3 +77,75 @@ def few_shuffle_partitions(spark: SparkSession, k: int = 8):
 def state_checkpoint(df: DataFrame) -> DataFrame:
     """Materialize and truncate lineage of per-superstep state."""
     return df.localCheckpoint(eager=True)
+
+
+def check_query(n: int, source: int, alpha: float) -> None:
+    """Reject α ∉ (0,1) and a source outside [0, n) without a Spark job."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} is not a node id in [0, {n})")
+
+
+def push_supersteps(
+    states: tuple[DataFrame, ...],
+    step: Callable[..., tuple[DataFrame, ...]],
+    cost: CostStats,
+    *,
+    threshold: Column,
+    touches: Column,
+    scan_size: int,
+    scan_frac: float | None,
+    max_supersteps: int,
+) -> tuple[tuple[DataFrame, ...], bool]:
+    """Run a batch push to termination; return the final states and
+    whether the run converged.
+
+    ``states[0]`` holds one row per push unit (an edge for EdgePush, a node
+    for LocalPush) with its residue ``r``; ``threshold`` and ``touches``
+    (edge touches one push of that unit costs) are columns over it. Each
+    superstep simultaneously pushes every candidate ``r ≥ threshold``:
+    ``step(*states, push_cond)`` returns the next states, with the rows
+    matching ``push_cond`` pushed on their pre-superstep residue. The
+    strict ``r > 0`` guard keeps zero residues from ever being candidates,
+    even where a threshold underflows to 0; pushing zero mass is a no-op.
+
+    Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates
+    outnumber ``scan_frac · scan_size`` units, the superstep pushes *every*
+    unit with r > 0, a sequential pass over the residue array, instead of
+    only the candidates; pushes and touches are booked for what is pushed.
+
+    One aggregate per superstep counts candidates and their touches (plus
+    the residue total: zero at superstep 0 means the source has no edges,
+    a ``ValueError``). The run stops when none are left, or unconverged
+    after ``max_supersteps`` (whose last aggregate only tells which).
+    States are checkpointed initially and after every superstep; ``cost``
+    brackets the loop.
+    """
+    states = tuple(state_checkpoint(s) for s in states)
+    r = F.col("r")
+    is_cand = (r >= threshold) & (r > 0)
+    nonzero = r > 0
+    cost.start()
+    for superstep in range(max_supersteps + 1):
+        agg = states[0].agg(
+            F.sum(is_cand.cast("long")).alias("n_cand"),
+            F.sum(F.when(is_cand, touches).otherwise(0)).alias("cand_touches"),
+            F.sum(nonzero.cast("long")).alias("n_nz"),
+            F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
+            F.sum(r).alias("mass"),
+        ).collect()[0]
+        if superstep == 0 and not agg["mass"]:
+            raise ValueError("the source has no edges")
+        if not agg["n_cand"] or superstep == max_supersteps:
+            break
+        scan = scan_frac is not None and agg["n_cand"] > scan_frac * scan_size
+        states = tuple(
+            state_checkpoint(s) for s in step(*states, nonzero if scan else is_cand)
+        )
+        cost.add_superstep(
+            pushes=agg["n_nz"] if scan else agg["n_cand"],
+            edge_touches=agg["nz_touches"] if scan else agg["cand_touches"],
+        )
+    cost.stop()
+    return states, not agg["n_cand"]

@@ -4,9 +4,9 @@ PowForPush unifies LocalPush and Power Method: while many nodes are
 active, touching them via random access is slower than a *sequential scan*
 over the whole residual vector (a power-iteration pass); when the frontier
 shrinks it degrades gracefully back to thresholded local pushes. In our
-bulk-synchronous formulation this is exactly batch LocalPush with the
-``scan_frac`` switch (see ``repro.core.localpush``): a superstep whose
-active set exceeds ``scan_frac·n`` pushes every node with r > 0.
+bulk-synchronous formulation this is exactly batch LocalPush with the scan
+switch of :func:`repro.core.runtime.push_supersteps`:
+``local_push(..., scan_frac=DEFAULT_SCAN_FRAC)``.
 
 SpeedPPR = PowForPush down to the FORA threshold, then Monte-Carlo walks
 from the residual nodes (the same repair phase as FORA).
@@ -20,26 +20,6 @@ from repro.core.power import PPRResult
 from repro.graphs.graph import WeightedGraph
 
 DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
-
-
-def pow_for_push(
-    graph: WeightedGraph,
-    source: int,
-    *,
-    alpha: float = 0.2,
-    theta: float = 1e-6,
-    scan_frac: float = DEFAULT_SCAN_FRAC,
-    max_supersteps: int = 500,
-) -> PPRResult:
-    """PowForPush: batch LocalPush with the sequential-scan switch."""
-    return local_push(
-        graph,
-        source,
-        alpha=alpha,
-        theta=theta,
-        scan_frac=scan_frac,
-        max_supersteps=max_supersteps,
-    )
 
 
 def speedppr(

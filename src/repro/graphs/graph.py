@@ -153,10 +153,6 @@ class WeightedGraph:
             .select("src", "dst", "weight", (F.col("weight") / F.col("deg")).alias("p"))
         )
 
-    def nodes(self) -> DataFrame:
-        """All nodes that carry at least one edge, with degree columns."""
-        return self.degrees
-
     # ------------------------------------------------------------- statistics
     def num_directed_edges(self) -> int:
         """|Ē| = 2m."""

@@ -6,7 +6,8 @@ import pytest
 from repro.core.fora import balanced_theta, fora
 from repro.core.montecarlo import monte_carlo, run_walks, walk_count
 from repro.core.power import ground_truth
-from repro.core.speedppr import pow_for_push, speedppr
+from repro.core.localpush import local_push
+from repro.core.speedppr import DEFAULT_SCAN_FRAC, speedppr
 
 from .helpers import get_graph
 
@@ -131,18 +132,16 @@ class TestSpeedPPR:
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         rmax = 1e-3
-        res = pow_for_push(g, 0, alpha=ALPHA, theta=rmax)
+        res = local_push(g, 0, alpha=ALPHA, theta=rmax, scan_frac=DEFAULT_SCAN_FRAC)
         err = np.abs(res.vector(g.n) - gt) / g.csr.deg
         assert err.max() <= rmax + 1e-9
 
     def test_powforpush_fewer_supersteps_when_scanning(self, spark):
         """Scan mode pushes sub-threshold residues too, so it can only
         converge in fewer (or equal) supersteps."""
-        from repro.core.localpush import local_push
-
         g = get_graph(spark, "er_lognormal")
         plain = local_push(g, 0, alpha=ALPHA, theta=1e-5)
-        pfp = pow_for_push(g, 0, alpha=ALPHA, theta=1e-5, scan_frac=0.05)
+        pfp = local_push(g, 0, alpha=ALPHA, theta=1e-5, scan_frac=0.05)
         assert pfp.cost.supersteps <= plain.cost.supersteps
 
     def test_speedppr_accuracy(self, spark):

@@ -129,16 +129,6 @@ class TestTheoryProperties:
 
 
 class TestCostStats:
-    def test_merged_adds_fields(self):
-        a = CostStats(supersteps=1, pushes=2, edge_touches=3, walks=4, walk_steps=5,
-                      wall_seconds=0.5)
-        b = CostStats(supersteps=10, pushes=20, edge_touches=30, walks=40,
-                      walk_steps=50, wall_seconds=1.0)
-        m = a.merged(b)
-        assert (m.supersteps, m.pushes, m.edge_touches, m.walks, m.walk_steps) == (
-            11, 22, 33, 44, 55)
-        assert m.wall_seconds == pytest.approx(1.5)
-
     def test_add_superstep(self):
         c = CostStats()
         c.add_superstep(pushes=3, edge_touches=7)

@@ -9,6 +9,7 @@ Spark supersteps are expensive, so these tests use the small helper graphs
 and moderate tolerances; the fine-grained sweeps live in benchmarks/.
 """
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -17,6 +18,7 @@ from repro.core.edgepush import edge_push
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth
 from repro.core.sequential import sequential_edge_push, sequential_local_push
+from repro.graphs.graph import WeightedGraph
 
 from .helpers import get_graph
 
@@ -34,6 +36,7 @@ class TestBatchLocalPush:
         csr = any_graph.csr
         eps = 0.1
         res = local_push(any_graph, 0, alpha=ALPHA, theta=eps / csr.norm_a())
+        assert res.converged is True
         gt = ground_truth(csr, 0, alpha=ALPHA)
         est = res.vector(any_graph.n)
         assert (est <= gt + 1e-9).all()
@@ -83,6 +86,7 @@ class TestBatchLocalPush:
         res, state = local_push(
             g, 0, alpha=ALPHA, theta=1e-5, max_supersteps=2, return_state=True
         )
+        assert res.converged is False
         pprs = np.stack([ground_truth(csr, u, alpha=ALPHA) for u in range(csr.n)])
         sp = state.toPandas()
         r = np.zeros(csr.n)
@@ -112,6 +116,7 @@ class TestBatchEdgePush:
     def test_l1_bound_theorem2(self, any_graph, eps):
         csr = any_graph.csr
         res = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=eps)
+        assert res.converged is True
         gt = ground_truth(csr, 0, alpha=ALPHA)
         est = res.vector(any_graph.n)
         assert (est <= gt + 1e-9).all()
@@ -188,6 +193,7 @@ class TestBatchEdgePush:
             g, 0, alpha=ALPHA, mode="l1", tol=1e-3, max_supersteps=2,
             return_residue=True,
         )
+        assert res.converged is False
         pprs = np.stack([ground_truth(csr, v, alpha=ALPHA) for v in range(csr.n)])
         epdf = edges.toPandas()
         correction = np.zeros(csr.n)
@@ -232,3 +238,18 @@ def test_exact_work(spark, graph_name, run):
     c = res.cost
     expected = EXPECTED_WORK[graph_name][WORK_RUNS.index(run)]
     assert (c.supersteps, c.pushes, c.edge_touches) == expected
+
+
+@pytest.mark.parametrize("method", [edge_push, local_push])
+@pytest.mark.parametrize(
+    "source, alpha",
+    [(2, ALPHA), (3, ALPHA), (-1, ALPHA), (0, 0.0), (0, 1.0)],
+    ids=["isolated", "n", "negative", "alpha0", "alpha1"],
+)
+def test_rejects_degenerate_query(spark, method, source, alpha):
+    """Node 2 of this 3-node graph has no edges: its PPR is not defined by
+    a push, so the query is refused instead of returning an empty estimate."""
+    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
+    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    with pytest.raises(ValueError):
+        method(g, source, alpha=alpha)
