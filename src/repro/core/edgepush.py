@@ -11,10 +11,12 @@ so the batch schedule preserves the invariant and the terminal condition
 ``R_uv < θ(u,v)`` for all edges yields exactly the paper's error bounds
 (Lemmas 4–5, Theorems 2–3).
 
-State is the edge-level residue DataFrame ``(src, dst, p, theta, r)`` plus
-the node-income vector q; the estimate is ``π̂ = α·q``. Work accounting:
-each edge push costs O(1) — one edge touch — which is precisely the
-quantity Lemma 3 bounds.
+State is one edge-level DataFrame ``(src, dst, p, theta, r, out)``: the
+residue ``r`` and ``out``, the residue pushed along the edge so far. The
+node income q of Algorithm 2 is then ``q(v) = [v=s] + Σ_u out(u,v)``, summed
+once after the loop, and the estimate is ``π̂ = α·q``. Work accounting: each
+edge push costs O(1) — one edge touch — which is precisely the quantity
+Lemma 3 bounds.
 
 The superstep loop, with the §6.2 scan switch over the 2m edges, is
 :func:`repro.core.runtime.push_supersteps`; this module supplies the edge
@@ -58,29 +60,19 @@ def edge_push(
     once when sweeping sources.
 
     With ``return_residue`` the terminal edge state ``(src, dst, p, theta,
-    r)`` is also returned for invariant tests. Raises ``ValueError`` for
+    r, out)`` is also returned for invariant tests. Raises ``ValueError`` for
     α ∉ (0,1) or a source that is not a node with edges.
     """
     check_query(graph.n, source, alpha)
-    if thresholds is None:
-        thresholds = thresholds_df(graph, mode=mode, tol=tol)
-    two_m = graph.num_directed_edges()
 
-    def step(edges: DataFrame, q: DataFrame, push_cond) -> tuple[DataFrame, DataFrame]:
+    def step(edges: DataFrame, push_cond) -> DataFrame:
         inc = (
             edges.filter(push_cond)
             .groupBy("dst")
             .agg(F.sum("r").alias("inc"))
             .withColumnRenamed("dst", "inode")
         )
-        q = (
-            q.join(inc, q.node == inc.inode, "left")
-            .select(
-                "node",
-                (F.col("q") + F.coalesce(F.col("inc"), F.lit(0.0))).alias("q"),
-            )
-        )
-        edges = (
+        return (
             edges.join(inc, edges.src == inc.inode, "left")
             .select(
                 "src",
@@ -93,11 +85,16 @@ def edge_push(
                     * F.coalesce(F.col("inc"), F.lit(0.0))
                     * F.col("p")
                 ).alias("r"),
+                (
+                    F.col("out") + F.when(push_cond, F.col("r")).otherwise(0.0)
+                ).alias("out"),
             )
         )
-        return edges, q
 
     with few_shuffle_partitions(graph.spark):
+        two_m = graph.num_directed_edges()
+        if thresholds is None:
+            thresholds = thresholds_df(graph, mode=mode, tol=tol)
         # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
         edges = thresholds.select(
             "src",
@@ -107,14 +104,11 @@ def edge_push(
             F.when(F.col("src") == source, (1.0 - alpha) * F.col("p"))
             .otherwise(0.0)
             .alias("r"),
-        )
-        # node income q; π̂ = α·q
-        q = graph.degrees.select(
-            "node", F.when(F.col("node") == source, 1.0).otherwise(0.0).alias("q")
+            F.lit(0.0).alias("out"),
         )
         cost = CostStats()
-        (edges, q), converged = push_supersteps(
-            (edges, q),
+        edges, converged = push_supersteps(
+            edges,
             step,
             cost,
             threshold=F.col("theta"),
@@ -123,9 +117,13 @@ def edge_push(
             scan_frac=scan_frac,
             max_supersteps=max_supersteps,
         )
+        # π̂(v) = α·q(v); the source has an in-edge, as the graph is symmetric
+        q = F.sum("out") + F.when(F.col("dst") == source, 1.0).otherwise(0.0)
         est = (
-            q.filter(F.col("q") > 0)
-            .select("node", (F.lit(alpha) * F.col("q")).alias("est"))
+            edges.groupBy("dst")
+            .agg((F.lit(alpha) * q).alias("est"))
+            .filter(F.col("est") > 0)
+            .withColumnRenamed("dst", "node")
             .toPandas()
         )
     result = PPRResult(estimate=est, cost=cost, converged=converged)

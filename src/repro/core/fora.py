@@ -35,8 +35,16 @@ def mc_repair(
 ) -> PPRResult:
     """Phase 2 shared by FORA and SpeedPPR: for each node u with terminal
     residue r(u) > 0, launch ⌈r(u)·ω⌉ α-walks each contributing
-    r(u)/⌈r(u)·ω⌉, and add the terminal mass to the push estimate."""
-    residual = state.filter(F.col("r") > 0).select("node", "r").toPandas()
+    r(u)/⌈r(u)·ω⌉, and add the terminal mass to the push estimate.
+
+    Walks are numbered in node order, so the estimate for a given ``seed``
+    does not depend on the row order of ``state``."""
+    residual = (
+        state.filter(F.col("r") > 0)
+        .select("node", "r")
+        .toPandas()
+        .sort_values("node", ignore_index=True)
+    )
     cost = push_res.cost
     est = push_res.estimate
     if len(residual):

@@ -27,6 +27,7 @@ from repro.core.runtime import (
     check_query,
     few_shuffle_partitions,
     push_supersteps,
+    state_checkpoint,
 )
 from repro.graphs.graph import WeightedGraph
 
@@ -50,9 +51,8 @@ def local_push(
     ``ValueError`` for α ∉ (0,1) or a source that is not a node with edges.
     """
     check_query(graph.n, source, alpha)
-    tedges = graph.transition.select("src", "dst", "p")
 
-    def step(state: DataFrame, push_cond) -> tuple[DataFrame]:
+    def step(state: DataFrame, push_cond) -> DataFrame:
         msgs = (
             state.filter(push_cond)
             .join(tedges, F.col("node") == tedges.src)
@@ -63,7 +63,7 @@ def local_push(
             .groupBy("node")
             .agg(F.sum("inc").alias("inc"))
         )
-        state = (
+        return (
             state.join(msgs, on="node", how="left")
             .select(
                 "node",
@@ -79,15 +79,16 @@ def local_push(
                 ).alias("pi"),
             )
         )
-        return (state,)
 
     with few_shuffle_partitions(graph.spark):
+        # materialized once per query, partitioned by src like the state's node
+        tedges = state_checkpoint(graph.transition.select("src", "dst", "p"))
         state = graph.degrees.withColumn(
             "r", F.when(F.col("node") == source, 1.0).otherwise(0.0)
         ).withColumn("pi", F.lit(0.0))
         cost = CostStats()
-        (state,), converged = push_supersteps(
-            (state,),
+        state, converged = push_supersteps(
+            state,
             step,
             cost,
             threshold=F.col("deg") * F.lit(theta),

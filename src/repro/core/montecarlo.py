@@ -84,10 +84,13 @@ def run_walks(
                 out.loc[out.index[0], "steps"] = float(steps)
             yield out
 
-    sdf = spark.createDataFrame(starts).repartition(partitions, "walk_id")
-    res = sdf.mapInPandas(
-        simulate, schema="node long, contrib double, steps double"
-    ).toPandas()
+    try:
+        sdf = spark.createDataFrame(starts).repartition(partitions, "walk_id")
+        res = sdf.mapInPandas(
+            simulate, schema="node long, contrib double, steps double"
+        ).toPandas()
+    finally:
+        bc.destroy()
     total_steps = int(res["steps"].sum())
     per_node = res.groupby("node", as_index=False)["contrib"].sum()
     return per_node, total_steps

@@ -5,15 +5,20 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
 - **lineage truncation** — each superstep derives the new state from the
   old one; without truncation Catalyst replans an ever-growing tree.
   :func:`state_checkpoint` eagerly ``localCheckpoint``s the state.
-- **small shuffles** — the session default of 64 shuffle partitions is
-  tuned for SF=0.1 OLAP scans, not for a 5k-row frontier updated dozens of
-  times. :func:`few_shuffle_partitions` scopes a lower setting to the
-  algorithm's loop and restores the session value afterwards (the session
-  is shared with other tests).
+- **a loop-scoped shuffle layout** — the session default of 64 shuffle
+  partitions is tuned for SF=0.1 OLAP scans, not for a 5k-row frontier
+  updated dozens of times, and adaptive query execution (AQE) would run
+  every shuffle stage of a superstep as its own Spark job and coalesce the
+  partitions, so a checkpointed state would lose its hash partitioning and
+  the next superstep would shuffle all of it again.
+  :func:`few_shuffle_partitions` scopes a lower partition count with AQE off
+  to the algorithm's loop and restores the session values afterwards (the
+  session is shared with other tests).
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
 EdgePush and LocalPush; each method supplies only its state, threshold,
-per-push touches and push rule.
+per-push touches and push rule. A superstep is one Spark job: the
+checkpoint that materializes the new state also counts its candidates.
 
 :class:`CostStats` is the machine-independent work metric every algorithm
 reports: the paper's Table 1 bounds exactly these counts (edge touches /
@@ -27,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 
@@ -64,14 +69,20 @@ class CostStats:
 
 @contextmanager
 def few_shuffle_partitions(spark: SparkSession, k: int = 8):
-    """Temporarily lower ``spark.sql.shuffle.partitions`` for a tight loop."""
-    key = "spark.sql.shuffle.partitions"
-    old = spark.conf.get(key)
-    spark.conf.set(key, str(k))
+    """Temporarily lower ``spark.sql.shuffle.partitions`` and turn AQE off
+    for a tight loop, so that a checkpointed state keeps its partitioning."""
+    settings = {
+        "spark.sql.shuffle.partitions": str(k),
+        "spark.sql.adaptive.enabled": "false",
+    }
+    old = {key: spark.conf.get(key) for key in settings}
+    for key, value in settings.items():
+        spark.conf.set(key, value)
     try:
         yield
     finally:
-        spark.conf.set(key, old)
+        for key, value in old.items():
+            spark.conf.set(key, value)
 
 
 def state_checkpoint(df: DataFrame) -> DataFrame:
@@ -88,8 +99,8 @@ def check_query(n: int, source: int, alpha: float) -> None:
 
 
 def push_supersteps(
-    states: tuple[DataFrame, ...],
-    step: Callable[..., tuple[DataFrame, ...]],
+    state: DataFrame,
+    step: Callable[[DataFrame, Column], DataFrame],
     cost: CostStats,
     *,
     threshold: Column,
@@ -97,15 +108,15 @@ def push_supersteps(
     scan_size: int,
     scan_frac: float | None,
     max_supersteps: int,
-) -> tuple[tuple[DataFrame, ...], bool]:
-    """Run a batch push to termination; return the final states and
-    whether the run converged.
+) -> tuple[DataFrame, bool]:
+    """Run a batch push to termination; return the final state and whether
+    the run converged.
 
-    ``states[0]`` holds one row per push unit (an edge for EdgePush, a node
-    for LocalPush) with its residue ``r``; ``threshold`` and ``touches``
-    (edge touches one push of that unit costs) are columns over it. Each
+    ``state`` holds one row per push unit (an edge for EdgePush, a node for
+    LocalPush) with its residue ``r``; ``threshold`` and ``touches`` (edge
+    touches one push of that unit costs) are columns over it. Each
     superstep simultaneously pushes every candidate ``r ≥ threshold``:
-    ``step(*states, push_cond)`` returns the next states, with the rows
+    ``step(state, push_cond)`` returns the next state, with the rows
     matching ``push_cond`` pushed on their pre-superstep residue. The
     strict ``r > 0`` guard keeps zero residues from ever being candidates,
     even where a threshold underflows to 0; pushing zero mass is a no-op.
@@ -115,37 +126,42 @@ def push_supersteps(
     unit with r > 0, a sequential pass over the residue array, instead of
     only the candidates; pushes and touches are booked for what is pushed.
 
-    One aggregate per superstep counts candidates and their touches (plus
-    the residue total: zero at superstep 0 means the source has no edges,
-    a ``ValueError``). The run stops when none are left, or unconverged
-    after ``max_supersteps`` (whose last aggregate only tells which).
-    States are checkpointed initially and after every superstep; ``cost``
-    brackets the loop.
+    The state is checkpointed initially and after every superstep, and the
+    checkpoint's own job also computes, as observed metrics
+    (``DataFrame.observe``), the next superstep's candidate count and
+    touches, the same for r > 0 and the residue total (zero initially means
+    the source has no edges, a ``ValueError``). So a superstep is one Spark
+    job. The run stops when no candidates are left, or unconverged after
+    ``max_supersteps``; ``cost`` brackets the loop.
     """
-    states = tuple(state_checkpoint(s) for s in states)
     r = F.col("r")
     is_cand = (r >= threshold) & (r > 0)
     nonzero = r > 0
+    counts = (
+        F.sum(is_cand.cast("long")).alias("n_cand"),
+        F.sum(F.when(is_cand, touches).otherwise(0)).alias("cand_touches"),
+        F.sum(nonzero.cast("long")).alias("n_nz"),
+        F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
+        F.sum(r).alias("mass"),
+    )
+
+    def counted_checkpoint(df: DataFrame) -> tuple[DataFrame, dict]:
+        obs = Observation()
+        df = state_checkpoint(df.observe(obs, *counts))
+        return df, obs.get
+
+    state, agg = counted_checkpoint(state)
+    if not agg["mass"]:
+        raise ValueError("the source has no edges")
     cost.start()
-    for superstep in range(max_supersteps + 1):
-        agg = states[0].agg(
-            F.sum(is_cand.cast("long")).alias("n_cand"),
-            F.sum(F.when(is_cand, touches).otherwise(0)).alias("cand_touches"),
-            F.sum(nonzero.cast("long")).alias("n_nz"),
-            F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
-            F.sum(r).alias("mass"),
-        ).collect()[0]
-        if superstep == 0 and not agg["mass"]:
-            raise ValueError("the source has no edges")
-        if not agg["n_cand"] or superstep == max_supersteps:
+    for _ in range(max_supersteps):
+        if not agg["n_cand"]:
             break
         scan = scan_frac is not None and agg["n_cand"] > scan_frac * scan_size
-        states = tuple(
-            state_checkpoint(s) for s in step(*states, nonzero if scan else is_cand)
-        )
         cost.add_superstep(
             pushes=agg["n_nz"] if scan else agg["n_cand"],
             edge_touches=agg["nz_touches"] if scan else agg["cand_touches"],
         )
+        state, agg = counted_checkpoint(step(state, nonzero if scan else is_cand))
     cost.stop()
-    return states, not agg["n_cand"]
+    return state, not agg["n_cand"]

@@ -1,9 +1,13 @@
 """Tests for the Monte-Carlo walker, FORA and SpeedPPR baselines."""
+import copy
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
-from repro.core.fora import balanced_theta, fora
+from repro.core.fora import balanced_theta, fora, mc_repair
 from repro.core.montecarlo import monte_carlo, run_walks, walk_count
 from repro.core.power import ground_truth
 from repro.core.localpush import local_push
@@ -48,6 +52,27 @@ class TestRunWalks:
             a.sort_values("node").reset_index(drop=True),
             b.sort_values("node").reset_index(drop=True),
         )
+
+    def test_destroys_broadcast(self, spark, monkeypatch):
+        """The CSR broadcast of a query is released once its walks are in."""
+        sc = spark.sparkContext
+        made = []
+        broadcast = sc.broadcast
+
+        def recording_broadcast(value):
+            made.append(broadcast(value))
+            return made[-1]
+
+        monkeypatch.setattr(sc, "broadcast", recording_broadcast)
+        g = get_graph(spark, "triangle")
+        starts = pd.DataFrame(
+            {"walk_id": np.arange(50), "start": np.zeros(50, np.int64),
+             "contrib": np.ones(50)}
+        )
+        run_walks(spark, g.csr, starts, alpha=ALPHA, seed=7)
+        assert len(made) == 1
+        assert not made[0]._jbroadcast.isValid()
+        assert not os.path.exists(made[0]._path)
 
     def test_expected_steps_geometric(self, spark):
         """Mean walk length is (1-α)/α ≈ 4 for α = 0.2."""
@@ -117,6 +142,20 @@ class TestFora:
         res = fora(g, 0, alpha=ALPHA, delta=1e-3, seed=9)
         assert res.cost.pushes > 0
         assert res.cost.walks > 0
+
+    def test_repair_independent_of_row_order(self, spark):
+        """The same terminal state, partitioned differently, gives the same
+        walks for the same seed and hence an identical estimate."""
+        g = get_graph(spark, "er_lognormal")
+        push_res, state = local_push(g, 0, alpha=ALPHA, theta=1e-3, return_state=True)
+        ests = [
+            mc_repair(
+                g, copy.deepcopy(push_res), s, omega=3000, alpha=ALPHA, seed=12
+            ).estimate
+            for s in (state, state.orderBy(F.desc("node")), state.repartition(5, "r"))
+        ]
+        for est in ests[1:]:
+            pd.testing.assert_frame_equal(est, ests[0])
 
     def test_balanced_theta_formula(self, spark):
         g = get_graph(spark, "triangle")

@@ -138,7 +138,8 @@ class TestCostStats:
     def test_few_shuffle_partitions_restores(self, spark):
         from repro.core.runtime import few_shuffle_partitions
 
-        before = spark.conf.get("spark.sql.shuffle.partitions")
+        keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+        before = [spark.conf.get(k) for k in keys]
         with few_shuffle_partitions(spark, 4):
-            assert spark.conf.get("spark.sql.shuffle.partitions") == "4"
-        assert spark.conf.get("spark.sql.shuffle.partitions") == before
+            assert [spark.conf.get(k) for k in keys] == ["4", "false"]
+        assert [spark.conf.get(k) for k in keys] == before

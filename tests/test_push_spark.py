@@ -253,3 +253,47 @@ def test_rejects_degenerate_query(spark, method, source, alpha):
     g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
     with pytest.raises(ValueError):
         method(g, source, alpha=alpha)
+
+
+# Spark jobs a query runs besides one per superstep. EdgePush (ℓ1): the 2m
+# count, the Theorem-2 threshold total, the initial checkpoint and the
+# estimate's collect. LocalPush: the transition-edge checkpoint, the initial
+# checkpoint and the estimate's collect.
+FIXED_JOBS = {"edge_push": 4, "local_push": 3}
+
+
+def highest_job_id(spark) -> int:
+    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
+    return max(ids) if ids else -1
+
+
+@pytest.mark.parametrize("method", sorted(FIXED_JOBS))
+def test_jobs_per_query(spark, method):
+    """A superstep is one Spark job: its checkpoint also counts the next
+    superstep's candidates."""
+    g = get_graph(spark, "er_lognormal")
+    theta = 0.05 / g.norm_a()  # a job of its own, run before the count starts
+    first = highest_job_id(spark)
+    if method == "edge_push":
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05)
+    else:
+        res = local_push(g, 0, alpha=ALPHA, theta=theta)
+    assert res.cost.supersteps > 10
+    assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS[method]
+
+
+@pytest.mark.parametrize("method", [edge_push, local_push])
+@pytest.mark.parametrize("source", [0, 2], ids=["returns", "raises"])
+def test_loop_scope_restores_session_conf(spark, method, source):
+    """The loop's shuffle settings are put back on a normal return and when
+    the loop refuses a source with no edges (node 2)."""
+    keys = ("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions")
+    before = {k: spark.conf.get(k) for k in keys}
+    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
+    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    if source == 2:
+        with pytest.raises(ValueError, match="no edges"):
+            method(g, source, alpha=ALPHA)
+    else:
+        method(g, source, alpha=ALPHA)
+    assert {k: spark.conf.get(k) for k in keys} == before
