@@ -27,9 +27,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.power import PPRResult
 from repro.core.runtime import (
     CostStats,
+    PPRResult,
     check_query,
     few_shuffle_partitions,
     push_supersteps,
@@ -48,8 +48,7 @@ def edge_push(
     thresholds: DataFrame | None = None,
     scan_frac: float | None = None,
     max_supersteps: int = 500,
-    return_residue: bool = False,
-) -> PPRResult | tuple[PPRResult, DataFrame]:
+) -> PPRResult:
     """Approximate SSPPR by batch EdgePush.
 
     ``mode``/``tol`` pick the per-edge thresholds: ``("l1", ε)`` uses
@@ -59,9 +58,9 @@ def edge_push(
     :func:`repro.core.thresholds.thresholds_df`) overrides them — build it
     once when sweeping sources.
 
-    With ``return_residue`` the terminal edge state ``(src, dst, p, theta,
-    r, out)`` is also returned for invariant tests. Raises ``ValueError`` for
-    α ∉ (0,1) or a source that is not a node with edges.
+    The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
+    r, out)``. Raises ``ValueError`` for α ∉ (0,1) or a source that is not a
+    node with edges.
     """
     check_query(graph.n, source, alpha)
 
@@ -126,5 +125,4 @@ def edge_push(
             .withColumnRenamed("dst", "node")
             .toPandas()
         )
-    result = PPRResult(estimate=est, cost=cost, converged=converged)
-    return (result, edges) if return_residue else result
+    return PPRResult(estimate=est, cost=cost, converged=converged, state=edges)

@@ -11,6 +11,7 @@ work against the number of walks (FORA's balanced default:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,33 +20,33 @@ from pyspark.sql import functions as F
 
 from repro.core.localpush import local_push
 from repro.core.montecarlo import run_walks, walk_count
-from repro.core.power import PPRResult
-from repro.core.runtime import few_shuffle_partitions
+from repro.core.runtime import PPRResult, few_shuffle_partitions
 from repro.graphs.graph import WeightedGraph
 
 
 def mc_repair(
     graph: WeightedGraph,
     push_res: PPRResult,
-    state,
     *,
     omega: int,
     alpha: float,
     seed: int,
 ) -> PPRResult:
     """Phase 2 shared by FORA and SpeedPPR: for each node u with terminal
-    residue r(u) > 0, launch ⌈r(u)·ω⌉ α-walks each contributing
-    r(u)/⌈r(u)·ω⌉, and add the terminal mass to the push estimate.
+    residue r(u) > 0 in the LocalPush ``push_res.state``, launch ⌈r(u)·ω⌉
+    α-walks each contributing r(u)/⌈r(u)·ω⌉, and add the terminal mass to
+    the push estimate. ``push_res`` is left as it was: the walks are booked
+    on a copy of its cost.
 
     Walks are numbered in node order, so the estimate for a given ``seed``
-    does not depend on the row order of ``state``."""
+    does not depend on the row order of the state."""
     residual = (
-        state.filter(F.col("r") > 0)
+        push_res.state.filter(F.col("r") > 0)
         .select("node", "r")
         .toPandas()
         .sort_values("node", ignore_index=True)
     )
-    cost = push_res.cost
+    cost = dataclasses.replace(push_res.cost)
     est = push_res.estimate
     if len(residual):
         r = residual["r"].to_numpy()
@@ -93,7 +94,5 @@ def fora(
     omega = walk_count(delta=delta, eps_r=eps_r, p_f=p_f)
     if theta is None:
         theta = balanced_theta(graph, alpha=alpha, omega=omega)
-    push_res, state = local_push(
-        graph, source, alpha=alpha, theta=theta, return_state=True
-    )
-    return mc_repair(graph, push_res, state, omega=omega, alpha=alpha, seed=seed)
+    push_res = local_push(graph, source, alpha=alpha, theta=theta)
+    return mc_repair(graph, push_res, omega=omega, alpha=alpha, seed=seed)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.power import PPRResult
 from repro.core.runtime import (
     CostStats,
+    PPRResult,
     check_query,
     few_shuffle_partitions,
     push_supersteps,
@@ -40,15 +40,14 @@ def local_push(
     theta: float = 1e-6,
     scan_frac: float | None = None,
     max_supersteps: int = 500,
-    return_state: bool = False,
-) -> PPRResult | tuple[PPRResult, DataFrame]:
+) -> PPRResult:
     """Approximate SSPPR by batch LocalPush with global threshold ``θ``.
 
     ``θ = ε/‖A‖₁`` gives ℓ1-error ≤ ε (Fact 1); ``θ = r_max`` gives
-    normalized additive error ≤ r_max (Fact 2). With ``return_state`` the
-    terminal per-node state ``(node, deg, nbrs, r, pi)`` is also returned
-    (FORA/SpeedPPR compensate the residual with random walks). Raises
-    ``ValueError`` for α ∉ (0,1) or a source that is not a node with edges.
+    normalized additive error ≤ r_max (Fact 2). The result's ``state`` is
+    the terminal per-node state ``(node, deg, nbrs, r, pi)``: FORA/SpeedPPR
+    compensate its residual with random walks. Raises ``ValueError`` for
+    α ∉ (0,1) or a source that is not a node with edges.
     """
     check_query(graph.n, source, alpha)
 
@@ -102,5 +101,4 @@ def local_push(
             .select("node", F.col("pi").alias("est"))
             .toPandas()
         )
-    result = PPRResult(estimate=est, cost=cost, converged=converged)
-    return (result, state) if return_state else result
+    return PPRResult(estimate=est, cost=cost, converged=converged, state=state)

@@ -25,9 +25,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.power import PPRResult
-from repro.core.runtime import CostStats, few_shuffle_partitions
+from repro.core.runtime import CostStats, PPRResult, few_shuffle_partitions
 from repro.graphs.graph import CSR, WeightedGraph
+
+WALK_PARTITIONS = 16  # Spark partitions the walks are simulated in
 
 
 def walk_count(*, delta: float, eps_r: float = 0.5, p_f: float) -> int:
@@ -42,7 +43,6 @@ def run_walks(
     *,
     alpha: float = 0.2,
     seed: int = 0,
-    partitions: int = 16,
 ) -> tuple[pd.DataFrame, int]:
     """Simulate one α-walk per row of ``starts`` (columns: walk_id, start,
     contrib). Returns (terminal contributions per node, total steps taken).
@@ -85,7 +85,7 @@ def run_walks(
             yield out
 
     try:
-        sdf = spark.createDataFrame(starts).repartition(partitions, "walk_id")
+        sdf = spark.createDataFrame(starts).repartition(WALK_PARTITIONS, "walk_id")
         res = sdf.mapInPandas(
             simulate, schema="node long, contrib double, steps double"
         ).toPandas()

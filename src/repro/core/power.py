@@ -6,21 +6,22 @@ The paper computes ground truths by running Power Method
 - :func:`ground_truth` — a driver-side numpy implementation over the CSR
   (bincount-based sparse mat-vec), used as the oracle for every PPR test
   and for the error axes of all experiment tables;
-- :func:`power_method` — the distributed DataFrame baseline: one
-  join+groupBy message-passing superstep per iteration, cost Θ(m) per
-  iteration (the inefficiency the paper contrasts local methods against).
+- :func:`power_method` — the distributed baseline, run as LocalPush with
+  θ = 0: every node holding residue pushes in every superstep (Wu et al.'s
+  PowForPush observation). After L supersteps from π̂_0 = 0, r_0 = e_s,
+  π̂_L = α·Σ_{i<L}((1-α)P)^i·e_s and r_L = ((1-α)P)^L·e_s, so
+  π̂_L + r_L = π^{(L)}, the L-th iterate above. Each iteration is booked as
+  one Θ(m) pass, 2m pushes and 2m edge touches (the inefficiency the paper
+  contrasts local methods against), whatever the residue's support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.localpush import local_push
+from repro.core.runtime import CostStats, PPRResult
 from repro.graphs.graph import CSR, WeightedGraph
-from repro.core.runtime import CostStats, few_shuffle_partitions, state_checkpoint
 
 
 def ground_truth(csr: CSR, source: int, *, alpha: float = 0.2, iters: int = 120) -> np.ndarray:
@@ -44,53 +45,23 @@ def ground_truth(csr: CSR, source: int, *, alpha: float = 0.2, iters: int = 120)
     return pi
 
 
-@dataclass
-class PPRResult:
-    """Estimate + work accounting returned by every SSPPR algorithm.
-
-    ``estimate`` maps node -> π̂(node) (nodes with π̂=0 may be absent).
-    ``cost`` is the machine-independent work metric (edge touches), the
-    quantity the paper's Table 1 bounds. ``converged`` is False when a push
-    run stopped at its superstep cap with candidates left, so the paper's
-    bound does not hold for ``estimate``.
-    """
-
-    estimate: pd.DataFrame  # columns: node, est
-    cost: CostStats
-    converged: bool = True
-
-    def vector(self, n: int) -> np.ndarray:
-        v = np.zeros(n)
-        v[self.estimate["node"].to_numpy(np.int64)] = self.estimate["est"].to_numpy()
-        return v
-
-
 def power_method(
     graph: WeightedGraph, source: int, *, alpha: float = 0.2, iters: int = 10
 ) -> PPRResult:
-    """Distributed Power Method over the transition-probability edge DataFrame."""
-    spark = graph.spark
+    """Distributed Power Method: ``iters`` supersteps of θ = 0 LocalPush,
+    estimate π̂ + r. Raises ``ValueError`` for α ∉ (0,1) or a source that is
+    not a node with edges."""
+    res = local_push(graph, source, alpha=alpha, theta=0.0, max_supersteps=iters)
+    est = (
+        res.state.select("node", (F.col("pi") + F.col("r")).alias("est"))
+        .filter(F.col("est") > 0)
+        .toPandas()
+    )
     two_m = graph.num_directed_edges()
-    tedges = graph.transition.select("src", "dst", "p")
-    with few_shuffle_partitions(spark):
-        state = spark.createDataFrame(
-            pd.DataFrame({"node": [source], "pi": [1.0]})
-        )
-        cost = CostStats().start()
-        for _ in range(iters):
-            msgs = (
-                state.join(tedges, state.node == tedges.src)
-                .select(
-                    F.col("dst").alias("node"),
-                    ((1.0 - alpha) * F.col("pi") * F.col("p")).alias("contrib"),
-                )
-                .groupBy("node")
-                .agg(F.sum("contrib").alias("pi"))
-            )
-            inject = spark.createDataFrame(pd.DataFrame({"node": [source], "pi": [alpha]}))
-            state = msgs.unionByName(inject).groupBy("node").agg(F.sum("pi").alias("pi"))
-            state = state_checkpoint(state)
-            cost.add_superstep(pushes=two_m, edge_touches=two_m)
-        cost.stop()
-        out = state.toPandas().rename(columns={"pi": "est"})
-    return PPRResult(estimate=out, cost=cost)
+    cost = CostStats(
+        supersteps=iters,
+        pushes=iters * two_m,
+        edge_touches=iters * two_m,
+        wall_seconds=res.cost.wall_seconds,
+    )
+    return PPRResult(estimate=est, cost=cost)

@@ -11,19 +11,20 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   every shuffle stage of a superstep as its own Spark job and coalesce the
   partitions, so a checkpointed state would lose its hash partitioning and
   the next superstep would shuffle all of it again.
-  :func:`few_shuffle_partitions` scopes a lower partition count with AQE off
-  to the algorithm's loop and restores the session values afterwards (the
-  session is shared with other tests).
+  :func:`few_shuffle_partitions` scopes :data:`SHUFFLE_PARTITIONS` with AQE
+  off to the algorithm's loop and restores the session values afterwards
+  (the session is shared with other tests).
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
-EdgePush and LocalPush; each method supplies only its state, threshold,
-per-push touches and push rule. A superstep is one Spark job: the
-checkpoint that materializes the new state also counts its candidates.
+EdgePush, LocalPush and the Power Method; each method supplies only its
+state, threshold, per-push touches and push rule. A superstep is one Spark
+job: the checkpoint that materializes the new state also counts its
+candidates.
 
-:class:`CostStats` is the machine-independent work metric every algorithm
-reports: the paper's Table 1 bounds exactly these counts (edge touches /
-pushes), so shape comparisons in EXPERIMENTS.md use them alongside
-wall-clock.
+:class:`PPRResult` is what every SSPPR method returns, and
+:class:`CostStats` is the machine-independent work metric inside it: the
+paper's Table 1 bounds exactly these counts (edge touches / pushes), so
+shape comparisons in EXPERIMENTS.md use them alongside wall-clock.
 """
 from __future__ import annotations
 
@@ -32,8 +33,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
+
+SHUFFLE_PARTITIONS = 8  # shuffle partitions inside an algorithm's loop
 
 
 @dataclass
@@ -67,12 +72,37 @@ class CostStats:
         self.edge_touches += int(steps)
 
 
+@dataclass
+class PPRResult:
+    """Estimate + work accounting returned by every SSPPR algorithm.
+
+    ``estimate`` maps node -> π̂(node) (nodes with π̂=0 may be absent).
+    ``cost`` is the machine-independent work metric (edge touches), the
+    quantity the paper's Table 1 bounds. ``converged`` is False when a push
+    run stopped at its superstep cap with candidates left, so the paper's
+    bound does not hold for ``estimate``. ``state`` is the terminal state of
+    a push run (EdgePush: ``(src, dst, p, theta, r, out)``; LocalPush:
+    ``(node, deg, nbrs, r, pi)``), ``None`` for other methods.
+    """
+
+    estimate: pd.DataFrame  # columns: node, est
+    cost: CostStats
+    converged: bool = True
+    state: DataFrame | None = None
+
+    def vector(self, n: int) -> np.ndarray:
+        v = np.zeros(n)
+        v[self.estimate["node"].to_numpy(np.int64)] = self.estimate["est"].to_numpy()
+        return v
+
+
 @contextmanager
-def few_shuffle_partitions(spark: SparkSession, k: int = 8):
-    """Temporarily lower ``spark.sql.shuffle.partitions`` and turn AQE off
-    for a tight loop, so that a checkpointed state keeps its partitioning."""
+def few_shuffle_partitions(spark: SparkSession):
+    """Temporarily lower ``spark.sql.shuffle.partitions`` to
+    :data:`SHUFFLE_PARTITIONS` and turn AQE off for a tight loop, so that a
+    checkpointed state keeps its partitioning."""
     settings = {
-        "spark.sql.shuffle.partitions": str(k),
+        "spark.sql.shuffle.partitions": str(SHUFFLE_PARTITIONS),
         "spark.sql.adaptive.enabled": "false",
     }
     old = {key: spark.conf.get(key) for key in settings}

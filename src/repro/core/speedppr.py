@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.fora import balanced_theta, mc_repair
 from repro.core.localpush import local_push
 from repro.core.montecarlo import walk_count
-from repro.core.power import PPRResult
+from repro.core.runtime import PPRResult
 from repro.graphs.graph import WeightedGraph
 
 DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
@@ -40,12 +40,7 @@ def speedppr(
     omega = walk_count(delta=delta, eps_r=eps_r, p_f=p_f)
     if theta is None:
         theta = balanced_theta(graph, alpha=alpha, omega=omega)
-    push_res, state = local_push(
-        graph,
-        source,
-        alpha=alpha,
-        theta=theta,
-        scan_frac=scan_frac,
-        return_state=True,
+    push_res = local_push(
+        graph, source, alpha=alpha, theta=theta, scan_frac=scan_frac
     )
-    return mc_repair(graph, push_res, state, omega=omega, alpha=alpha, seed=seed)
+    return mc_repair(graph, push_res, omega=omega, alpha=alpha, seed=seed)

@@ -1,5 +1,5 @@
 """Tests for the Monte-Carlo walker, FORA and SpeedPPR baselines."""
-import copy
+import dataclasses
 import os
 
 import numpy as np
@@ -147,15 +147,34 @@ class TestFora:
         """The same terminal state, partitioned differently, gives the same
         walks for the same seed and hence an identical estimate."""
         g = get_graph(spark, "er_lognormal")
-        push_res, state = local_push(g, 0, alpha=ALPHA, theta=1e-3, return_state=True)
+        push_res = local_push(g, 0, alpha=ALPHA, theta=1e-3)
+        state = push_res.state
         ests = [
             mc_repair(
-                g, copy.deepcopy(push_res), s, omega=3000, alpha=ALPHA, seed=12
+                g,
+                dataclasses.replace(push_res, state=s),
+                omega=3000,
+                alpha=ALPHA,
+                seed=12,
             ).estimate
             for s in (state, state.orderBy(F.desc("node")), state.repartition(5, "r"))
         ]
         for est in ests[1:]:
             pd.testing.assert_frame_equal(est, ests[0])
+
+    def test_repair_leaves_push_result_unchanged(self, spark):
+        """Repairing one push result twice books its walks once per repair,
+        on the repaired result, never on the push result."""
+        g = get_graph(spark, "er_lognormal")
+        push_res = local_push(g, 0, alpha=ALPHA, theta=1e-3)
+        push_cost = dataclasses.replace(push_res.cost)
+        a, b = (
+            mc_repair(g, push_res, omega=3000, alpha=ALPHA, seed=12) for _ in range(2)
+        )
+        assert a.cost.walks > 0
+        assert a.cost == b.cost
+        assert push_res.cost == push_cost
+        assert push_res.cost.walks == 0
 
     def test_balanced_theta_formula(self, spark):
         g = get_graph(spark, "triangle")

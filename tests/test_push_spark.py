@@ -16,7 +16,7 @@ from pyspark.sql import functions as F
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
 from repro.core.localpush import local_push
-from repro.core.power import ground_truth
+from repro.core.power import ground_truth, power_method
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 from repro.graphs.graph import WeightedGraph
 
@@ -52,9 +52,7 @@ class TestBatchLocalPush:
 
     def test_terminal_residues_below_threshold(self, any_graph):
         theta = 1e-3
-        _, state = local_push(
-            any_graph, 0, alpha=ALPHA, theta=theta, return_state=True
-        )
+        state = local_push(any_graph, 0, alpha=ALPHA, theta=theta).state
         bad = state.filter(F.col("r") >= F.col("deg") * theta).count()
         assert bad == 0
 
@@ -71,7 +69,7 @@ class TestBatchLocalPush:
     def test_mass_conservation(self, any_graph):
         """reserve + residual mass sums to 1 at all times."""
         theta = 1e-2
-        _, state = local_push(any_graph, 0, alpha=ALPHA, theta=theta, return_state=True)
+        state = local_push(any_graph, 0, alpha=ALPHA, theta=theta).state
         tot = state.agg(F.sum("pi"), F.sum("r")).collect()[0]
         # residual r carries (1-α)-scaled in-flight mass; π̂ + remaining
         # walk mass = 1 exactly when accounting for the α-absorption of r:
@@ -83,12 +81,10 @@ class TestBatchLocalPush:
         superstep: π(t) = π̂(t) + Σ_u r(u)·π_u(t)."""
         g = get_graph(spark, "er_lognormal")
         csr = g.csr
-        res, state = local_push(
-            g, 0, alpha=ALPHA, theta=1e-5, max_supersteps=2, return_state=True
-        )
+        res = local_push(g, 0, alpha=ALPHA, theta=1e-5, max_supersteps=2)
         assert res.converged is False
         pprs = np.stack([ground_truth(csr, u, alpha=ALPHA) for u in range(csr.n)])
-        sp = state.toPandas()
+        sp = res.state.toPandas()
         r = np.zeros(csr.n)
         r[sp["node"].to_numpy(np.int64)] = sp["r"].to_numpy()
         assert np.allclose(res.vector(g.n) + r @ pprs, pprs[0], atol=1e-6)
@@ -131,9 +127,7 @@ class TestBatchEdgePush:
         assert err.max() <= rmax + 1e-9
 
     def test_terminal_edge_residues_below_threshold(self, any_graph):
-        _, edges = edge_push(
-            any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1, return_residue=True
-        )
+        edges = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1).state
         assert edges.filter(F.col("r") >= F.col("theta")).count() == 0
 
     def test_matches_sequential(self, any_graph):
@@ -189,13 +183,10 @@ class TestBatchEdgePush:
         superstep: π(t) = α·q(t) + Σ_{⟨u,v⟩} R_uv·π_v(t)."""
         g = get_graph(spark, "er_lognormal")
         csr = g.csr
-        res, edges = edge_push(
-            g, 0, alpha=ALPHA, mode="l1", tol=1e-3, max_supersteps=2,
-            return_residue=True,
-        )
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=1e-3, max_supersteps=2)
         assert res.converged is False
         pprs = np.stack([ground_truth(csr, v, alpha=ALPHA) for v in range(csr.n)])
-        epdf = edges.toPandas()
+        epdf = res.state.toPandas()
         correction = np.zeros(csr.n)
         for _, row in epdf[epdf.r > 0].iterrows():
             correction += row.r * pprs[int(row.dst)]
@@ -240,7 +231,7 @@ def test_exact_work(spark, graph_name, run):
     assert (c.supersteps, c.pushes, c.edge_touches) == expected
 
 
-@pytest.mark.parametrize("method", [edge_push, local_push])
+@pytest.mark.parametrize("method", [edge_push, local_push, power_method])
 @pytest.mark.parametrize(
     "source, alpha",
     [(2, ALPHA), (3, ALPHA), (-1, ALPHA), (0, 0.0), (0, 1.0)],
