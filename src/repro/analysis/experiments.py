@@ -22,12 +22,11 @@ from repro.analysis import unbalance as U
 from repro.core import metrics as M
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
-from repro.core.fora import fora
+from repro.core.fora import fora, monte_carlo
 from repro.core.localpush import local_push
-from repro.core.montecarlo import monte_carlo
 from repro.core.power import ground_truth, power_method
+from repro.core.runtime import DEFAULT_SCAN_FRAC
 from repro.core.sequential import sequential_edge_push, sequential_local_push
-from repro.core.speedppr import DEFAULT_SCAN_FRAC, speedppr
 from repro.graphs import datasets as ds
 from repro.graphs.graph import WeightedGraph
 
@@ -131,7 +130,10 @@ def additive_tradeoff(
             if "SpeedPPR" in methods:
                 runs.append((
                     "SpeedPPR", f"delta={delta:g}",
-                    speedppr(graph, s, alpha=ALPHA, delta=delta, seed=seed),
+                    fora(
+                        graph, s, alpha=ALPHA, delta=delta,
+                        scan_frac=DEFAULT_SCAN_FRAC, seed=seed,
+                    ),
                 ))
         rows += [
             _row(graph, gts[s], res, dataset=dataset, method=m, source=s, param=p)

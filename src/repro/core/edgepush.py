@@ -45,7 +45,6 @@ def edge_push(
     alpha: float = 0.2,
     mode: str = "l1",
     tol: float = 1e-4,
-    thresholds: DataFrame | None = None,
     scan_frac: float | None = None,
     max_supersteps: int = 500,
 ) -> PPRResult:
@@ -54,9 +53,7 @@ def edge_push(
     ``mode``/``tol`` pick the per-edge thresholds: ``("l1", ε)`` uses
     Theorem 2 (ℓ1-error ≤ ε), ``("additive", r_max)`` uses Theorem 3
     (normalized additive error ≤ r_max), ``("uniform", θ)`` is the untuned
-    ablation. A prebuilt ``thresholds`` DataFrame (from
-    :func:`repro.core.thresholds.thresholds_df`) overrides them — build it
-    once when sweeping sources.
+    ablation.
 
     The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
     r, out)``. Raises ``ValueError`` for α ∉ (0,1) or a source that is not a
@@ -92,10 +89,8 @@ def edge_push(
 
     with few_shuffle_partitions(graph.spark):
         two_m = graph.num_directed_edges()
-        if thresholds is None:
-            thresholds = thresholds_df(graph, mode=mode, tol=tol)
         # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
-        edges = thresholds.select(
+        edges = thresholds_df(graph, mode=mode, tol=tol).select(
             "src",
             "dst",
             "p",

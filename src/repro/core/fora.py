@@ -1,18 +1,27 @@
-"""FORA baseline (§3): forward (Local)Push followed by Monte-Carlo repair.
+"""Walk-based SSPPR baselines (§3): Monte-Carlo, FORA and SpeedPPR.
 
-Phase 1 runs batch LocalPush with node threshold θ; Lemma 1's invariant
-π(t) = π̂(t) + Σ_u r(u)·π_u(t) then says the estimate's deficit is a
-mixture of PPRs from the residual nodes — so phase 2 estimates that
-mixture by launching ``⌈r(u)·ω⌉`` α-walks from each residual node u, each
-contributing ``r(u)/⌈r(u)·ω⌉`` to its terminal node. ω comes from the same
-Chernoff bound as plain Monte-Carlo; the push threshold trades phase-1
-work against the number of walks (FORA's balanced default:
-θ ≈ sqrt(1/(ω·m)) scaled to weighted degrees).
+All three are one estimator. Lemma 1's invariant
+π(t) = π̂(t) + Σ_u r(u)·π_u(t) says a push estimate's deficit is a mixture
+of PPRs from the residual nodes, so one walk phase repairs it: launch
+``⌈r(u)·ω⌉`` α-walks from each residual node u, each contributing
+``r(u)/⌈r(u)·ω⌉`` to its terminal node. ω comes from FORA's Chernoff bound
+(:func:`repro.core.montecarlo.walk_count`). The methods differ only in the
+push phase before it:
+
+- plain Monte-Carlo has none: π̂ = 0, r = e_s, and ω = W walks from the
+  source each contribute 1/W;
+- FORA runs batch LocalPush with node threshold θ, by default FORA's
+  balanced θ ≈ sqrt(1/(ω·m)) scaled to weighted degrees, which trades
+  push work against the number of walks;
+- SpeedPPR (Wu et al.) runs PowForPush down to the same θ, i.e. LocalPush
+  with the scan switch of :func:`repro.core.runtime.push_supersteps`:
+  ``fora(..., scan_frac=DEFAULT_SCAN_FRAC)``.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pandas as pd
@@ -20,34 +29,29 @@ from pyspark.sql import functions as F
 
 from repro.core.localpush import local_push
 from repro.core.montecarlo import run_walks, walk_count
-from repro.core.runtime import PPRResult, few_shuffle_partitions
+from repro.core.runtime import CostStats, PPRResult, check_query, few_shuffle_partitions
 from repro.graphs.graph import WeightedGraph
 
 
-def mc_repair(
+def _walk_phase(
     graph: WeightedGraph,
-    push_res: PPRResult,
+    base: PPRResult,
+    residual: pd.DataFrame,
     *,
     omega: int,
     alpha: float,
     seed: int,
 ) -> PPRResult:
-    """Phase 2 shared by FORA and SpeedPPR: for each node u with terminal
-    residue r(u) > 0 in the LocalPush ``push_res.state``, launch ⌈r(u)·ω⌉
-    α-walks each contributing r(u)/⌈r(u)·ω⌉, and add the terminal mass to
-    the push estimate. ``push_res`` is left as it was: the walks are booked
-    on a copy of its cost.
+    """Repair ``base`` with ⌈r(u)·ω⌉ α-walks from each row ``(node, r)`` of
+    ``residual``, each walk adding r(u)/⌈r(u)·ω⌉ to its terminal node.
+    ``base`` is left as it was: the walks and their wall time are booked on
+    a copy of its cost.
 
-    Walks are numbered in node order, so the estimate for a given ``seed``
-    does not depend on the row order of the state."""
-    residual = (
-        push_res.state.filter(F.col("r") > 0)
-        .select("node", "r")
-        .toPandas()
-        .sort_values("node", ignore_index=True)
-    )
-    cost = dataclasses.replace(push_res.cost)
-    est = push_res.estimate
+    Walks are numbered in the row order of ``residual``, sorted by node, so
+    the estimate for a given ``seed`` depends only on the residual."""
+    t0 = time.perf_counter()
+    cost = dataclasses.replace(base.cost)
+    est = base.estimate
     if len(residual):
         r = residual["r"].to_numpy()
         n_walks = np.ceil(r * omega).astype(np.int64)
@@ -62,13 +66,69 @@ def mc_repair(
             per_node, steps = run_walks(
                 graph.spark, graph.csr, starts, alpha=alpha, seed=seed
             )
-        cost.add_walks(walks=int(n_walks.sum()), steps=steps)
+        cost.add_walks(walks=len(starts), steps=steps)
         est = (
             pd.concat([est, per_node.rename(columns={"contrib": "est"})])
             .groupby("node", as_index=False)["est"]
             .sum()
         )
-    return PPRResult(estimate=est, cost=cost, converged=push_res.converged)
+    cost.wall_seconds += time.perf_counter() - t0
+    return PPRResult(estimate=est, cost=cost, converged=base.converged)
+
+
+def _omega(graph: WeightedGraph, delta: float, eps_r: float, p_f: float | None) -> int:
+    """FORA's walk count ω, with the paper's failure probability p_f = 1/n
+    by default."""
+    return walk_count(
+        delta=delta, eps_r=eps_r, p_f=1.0 / graph.n if p_f is None else p_f
+    )
+
+
+def monte_carlo(
+    graph: WeightedGraph,
+    source: int,
+    *,
+    alpha: float = 0.2,
+    delta: float = 1e-2,
+    eps_r: float = 0.5,
+    p_f: float | None = None,
+    n_walks: int | None = None,
+    seed: int = 0,
+) -> PPRResult:
+    """Plain Monte-Carlo SSPPR: W α-walks from the source, each weighted
+    1/W; W = ``n_walks``, or ω for (δ, ε_r, p_f). Raises ``ValueError`` for
+    α ∉ (0,1) or a source that is not a node with edges."""
+    check_query(graph.n, source, alpha)
+    if graph.csr.deg[source] == 0:
+        raise ValueError("the source has no edges")
+    empty = pd.DataFrame({"node": np.empty(0, np.int64), "est": np.empty(0)})
+    return _walk_phase(
+        graph,
+        PPRResult(estimate=empty, cost=CostStats()),
+        pd.DataFrame({"node": [source], "r": [1.0]}),
+        omega=_omega(graph, delta, eps_r, p_f) if n_walks is None else n_walks,
+        alpha=alpha,
+        seed=seed,
+    )
+
+
+def mc_repair(
+    graph: WeightedGraph,
+    push_res: PPRResult,
+    *,
+    omega: int,
+    alpha: float,
+    seed: int,
+) -> PPRResult:
+    """The walk phase after a LocalPush: repair ``push_res`` with walks from
+    the nodes with terminal residue r(u) > 0 in its ``state``."""
+    residual = (
+        push_res.state.filter(F.col("r") > 0)
+        .select("node", "r")
+        .toPandas()
+        .sort_values("node", ignore_index=True)
+    )
+    return _walk_phase(graph, push_res, residual, omega=omega, alpha=alpha, seed=seed)
 
 
 def balanced_theta(graph: WeightedGraph, *, alpha: float, omega: int) -> float:
@@ -86,13 +146,14 @@ def fora(
     eps_r: float = 0.5,
     p_f: float | None = None,
     theta: float | None = None,
+    scan_frac: float | None = None,
     seed: int = 0,
 ) -> PPRResult:
-    """FORA SSPPR estimate with relative-error parameters (δ, ε_r, p_f)."""
-    if p_f is None:
-        p_f = 1.0 / graph.n
-    omega = walk_count(delta=delta, eps_r=eps_r, p_f=p_f)
+    """FORA SSPPR estimate with relative-error parameters (δ, ε_r, p_f);
+    with ``scan_frac`` set, the push phase is PowForPush and this is
+    SpeedPPR."""
+    omega = _omega(graph, delta, eps_r, p_f)
     if theta is None:
         theta = balanced_theta(graph, alpha=alpha, omega=omega)
-    push_res = local_push(graph, source, alpha=alpha, theta=theta)
+    push_res = local_push(graph, source, alpha=alpha, theta=theta, scan_frac=scan_frac)
     return mc_repair(graph, push_res, omega=omega, alpha=alpha, seed=seed)

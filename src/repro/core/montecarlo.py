@@ -1,8 +1,9 @@
-"""Monte-Carlo sampling baseline (§3) and the shared distributed walker.
+"""The distributed α-walker behind every walk-based method (§3).
 
-π(u) is the probability that an α-random walk from s stops at u, so W
-independent walks give an unbiased estimate. The walker is also the second
-phase of FORA and SpeedPPR, which launch walks from residual nodes.
+π(u) is the probability that an α-random walk from s stops at u, so walks
+give an unbiased estimate. The walk phase of
+:mod:`repro.core.fora` (plain Monte-Carlo, FORA and SpeedPPR) builds the
+walk starts and calls :func:`run_walks`; this module only simulates them.
 
 Distributed execution: the walk *starts* live in a DataFrame
 ``(walk_id, start, contrib)``; the graph is broadcast to executors as CSR
@@ -25,8 +26,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.runtime import CostStats, PPRResult, few_shuffle_partitions
-from repro.graphs.graph import CSR, WeightedGraph
+from repro.graphs.graph import CSR
 
 WALK_PARTITIONS = 16  # Spark partitions the walks are simulated in
 
@@ -95,35 +95,3 @@ def run_walks(
     per_node = res.groupby("node", as_index=False)["contrib"].sum()
     return per_node, total_steps
 
-
-def monte_carlo(
-    graph: WeightedGraph,
-    source: int,
-    *,
-    alpha: float = 0.2,
-    delta: float = 1e-2,
-    eps_r: float = 0.5,
-    p_f: float | None = None,
-    n_walks: int | None = None,
-    seed: int = 0,
-) -> PPRResult:
-    """Plain Monte-Carlo SSPPR: W α-walks from the source, each weighted 1/W."""
-    if n_walks is None:
-        if p_f is None:
-            p_f = 1.0 / graph.n
-        n_walks = walk_count(delta=delta, eps_r=eps_r, p_f=p_f)
-    starts = pd.DataFrame(
-        {
-            "walk_id": np.arange(n_walks, dtype=np.int64),
-            "start": np.full(n_walks, source, dtype=np.int64),
-            "contrib": np.full(n_walks, 1.0 / n_walks),
-        }
-    )
-    cost = CostStats().start()
-    with few_shuffle_partitions(graph.spark):
-        per_node, steps = run_walks(
-            graph.spark, graph.csr, starts, alpha=alpha, seed=seed
-        )
-    cost.add_walks(walks=n_walks, steps=steps)
-    cost.stop()
-    return PPRResult(estimate=per_node.rename(columns={"contrib": "est"}), cost=cost)

@@ -39,6 +39,7 @@ from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 SHUFFLE_PARTITIONS = 8  # shuffle partitions inside an algorithm's loop
+DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
 
 
 @dataclass

@@ -7,11 +7,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.fora import balanced_theta, fora, mc_repair
-from repro.core.montecarlo import monte_carlo, run_walks, walk_count
+from repro.core.fora import balanced_theta, fora, mc_repair, monte_carlo
+from repro.core.montecarlo import run_walks, walk_count
 from repro.core.power import ground_truth
 from repro.core.localpush import local_push
-from repro.core.speedppr import DEFAULT_SCAN_FRAC, speedppr
+from repro.core.runtime import DEFAULT_SCAN_FRAC
 
 from .helpers import get_graph
 
@@ -163,8 +163,9 @@ class TestFora:
             pd.testing.assert_frame_equal(est, ests[0])
 
     def test_repair_leaves_push_result_unchanged(self, spark):
-        """Repairing one push result twice books its walks once per repair,
-        on the repaired result, never on the push result."""
+        """Repairing one push result twice books its walks and their wall
+        time once per repair, on the repaired result, never on the push
+        result."""
         g = get_graph(spark, "er_lognormal")
         push_res = local_push(g, 0, alpha=ALPHA, theta=1e-3)
         push_cost = dataclasses.replace(push_res.cost)
@@ -172,7 +173,9 @@ class TestFora:
             mc_repair(g, push_res, omega=3000, alpha=ALPHA, seed=12) for _ in range(2)
         )
         assert a.cost.walks > 0
-        assert a.cost == b.cost
+        assert a.cost.wall_seconds > push_res.cost.wall_seconds
+        untimed = [dataclasses.replace(r.cost, wall_seconds=0.0) for r in (a, b)]
+        assert untimed[0] == untimed[1]
         assert push_res.cost == push_cost
         assert push_res.cost.walks == 0
 
@@ -205,10 +208,10 @@ class TestSpeedPPR:
     def test_speedppr_accuracy(self, spark):
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
-        res = speedppr(g, 0, alpha=ALPHA, delta=1e-3, seed=10)
+        res = fora(g, 0, alpha=ALPHA, delta=1e-3, scan_frac=DEFAULT_SCAN_FRAC, seed=10)
         assert np.abs(res.vector(g.n) - gt).sum() < 0.15
 
     def test_speedppr_mass_conserved(self, spark):
         g = get_graph(spark, "star")
-        res = speedppr(g, 0, alpha=ALPHA, delta=1e-2, seed=11)
+        res = fora(g, 0, alpha=ALPHA, delta=1e-2, scan_frac=DEFAULT_SCAN_FRAC, seed=11)
         assert res.estimate["est"].sum() == pytest.approx(1.0, abs=1e-6)

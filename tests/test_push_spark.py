@@ -15,6 +15,7 @@ from pyspark.sql import functions as F
 
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
+from repro.core.fora import monte_carlo
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
 from repro.core.sequential import sequential_edge_push, sequential_local_push
@@ -147,14 +148,6 @@ class TestBatchEdgePush:
         ep = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=eps)
         assert ep.cost.edge_touches < lp.cost.edge_touches / 3
 
-    def test_prebuilt_thresholds_df(self, spark):
-        g = get_graph(spark, "two_node")
-        tdf = th.thresholds_df(g, mode="l1", tol=0.2)
-        a = edge_push(g, 0, alpha=ALPHA, thresholds=tdf)
-        b = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.2)
-        va, vb = a.vector(g.n), b.vector(g.n)
-        assert np.allclose(va, vb)
-
     def test_scan_mode_same_guarantee(self, spark):
         g = get_graph(spark, "er_lognormal")
         res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan_frac=0.05)
@@ -231,7 +224,7 @@ def test_exact_work(spark, graph_name, run):
     assert (c.supersteps, c.pushes, c.edge_touches) == expected
 
 
-@pytest.mark.parametrize("method", [edge_push, local_push, power_method])
+@pytest.mark.parametrize("method", [edge_push, local_push, power_method, monte_carlo])
 @pytest.mark.parametrize(
     "source, alpha",
     [(2, ALPHA), (3, ALPHA), (-1, ALPHA), (0, 0.0), (0, 1.0)],
@@ -239,7 +232,8 @@ def test_exact_work(spark, graph_name, run):
 )
 def test_rejects_degenerate_query(spark, method, source, alpha):
     """Node 2 of this 3-node graph has no edges: its PPR is not defined by
-    a push, so the query is refused instead of returning an empty estimate."""
+    a push or a walk, so the query is refused instead of returning an
+    empty or wrong estimate."""
     pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
     g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
     with pytest.raises(ValueError):
