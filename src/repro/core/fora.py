@@ -29,7 +29,7 @@ from pyspark.sql import functions as F
 
 from repro.core.localpush import local_push
 from repro.core.montecarlo import run_walks, walk_count
-from repro.core.runtime import CostStats, PPRResult, check_query, few_shuffle_partitions
+from repro.core.runtime import CostStats, PPRResult, check_query
 from repro.graphs.graph import WeightedGraph
 
 
@@ -41,32 +41,24 @@ def _walk_phase(
     omega: int,
     alpha: float,
     seed: int,
+    t0: float,
 ) -> PPRResult:
     """Repair ``base`` with ⌈r(u)·ω⌉ α-walks from each row ``(node, r)`` of
     ``residual``, each walk adding r(u)/⌈r(u)·ω⌉ to its terminal node.
-    ``base`` is left as it was: the walks and their wall time are booked on
-    a copy of its cost.
+    ``base`` is left as it was: the walks and the wall time since ``t0``
+    (a ``time.perf_counter()`` reading) are booked on a copy of its cost.
 
-    Walks are numbered in the row order of ``residual``, sorted by node, so
+    Walks are drawn in the row order of ``residual``, sorted by node, so
     the estimate for a given ``seed`` depends only on the residual."""
-    t0 = time.perf_counter()
     cost = dataclasses.replace(base.cost)
     est = base.estimate
     if len(residual):
         r = residual["r"].to_numpy()
         n_walks = np.ceil(r * omega).astype(np.int64)
-        starts = pd.DataFrame(
-            {
-                "walk_id": np.arange(int(n_walks.sum()), dtype=np.int64),
-                "start": np.repeat(residual["node"].to_numpy(np.int64), n_walks),
-                "contrib": np.repeat(r / n_walks, n_walks),
-            }
-        )
-        with few_shuffle_partitions(graph.spark):
-            per_node, steps = run_walks(
-                graph.spark, graph.csr, starts, alpha=alpha, seed=seed
-            )
-        cost.add_walks(walks=len(starts), steps=steps)
+        start = np.repeat(residual["node"].to_numpy(np.int64), n_walks)
+        contrib = np.repeat(r / n_walks, n_walks)
+        per_node, steps = run_walks(graph.csr, start, contrib, alpha=alpha, seed=seed)
+        cost.add_walks(walks=len(start), steps=steps)
         est = (
             pd.concat([est, per_node.rename(columns={"contrib": "est"})])
             .groupby("node", as_index=False)["est"]
@@ -97,10 +89,13 @@ def monte_carlo(
 ) -> PPRResult:
     """Plain Monte-Carlo SSPPR: W α-walks from the source, each weighted
     1/W; W = ``n_walks``, or ω for (δ, ε_r, p_f). Raises ``ValueError`` for
-    α ∉ (0,1) or a source that is not a node with edges."""
+    α ∉ (0,1), a source that is not a node with edges, ``n_walks < 1`` or
+    walk parameters :func:`walk_count` refuses."""
     check_query(graph.n, source, alpha)
     if graph.csr.deg[source] == 0:
         raise ValueError("the source has no edges")
+    if n_walks is not None and n_walks < 1:
+        raise ValueError(f"walk parameters need n_walks >= 1, got {n_walks}")
     empty = pd.DataFrame({"node": np.empty(0, np.int64), "est": np.empty(0)})
     return _walk_phase(
         graph,
@@ -109,6 +104,7 @@ def monte_carlo(
         omega=_omega(graph, delta, eps_r, p_f) if n_walks is None else n_walks,
         alpha=alpha,
         seed=seed,
+        t0=time.perf_counter(),
     )
 
 
@@ -121,14 +117,18 @@ def mc_repair(
     seed: int,
 ) -> PPRResult:
     """The walk phase after a LocalPush: repair ``push_res`` with walks from
-    the nodes with terminal residue r(u) > 0 in its ``state``."""
+    the nodes with terminal residue r(u) > 0 in its ``state``. The wall
+    time booked includes collecting those residues."""
+    t0 = time.perf_counter()
     residual = (
         push_res.state.filter(F.col("r") > 0)
         .select("node", "r")
         .toPandas()
         .sort_values("node", ignore_index=True)
     )
-    return _walk_phase(graph, push_res, residual, omega=omega, alpha=alpha, seed=seed)
+    return _walk_phase(
+        graph, push_res, residual, omega=omega, alpha=alpha, seed=seed, t0=t0
+    )
 
 
 def balanced_theta(graph: WeightedGraph, *, alpha: float, omega: int) -> float:

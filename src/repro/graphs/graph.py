@@ -12,8 +12,8 @@ in ``repro.core``:
 - derived Spark DataFrames: per-node weighted degree ``d(u)``, neighborhood
   size ``n(u)``, and transition probabilities ``p = A_uv / d(u)``;
 - a driver-side :class:`CSR` export used by the numpy ground truth, the
-  sequential reference implementations, Monte-Carlo walkers (broadcast),
-  and the sweep-cut metric.
+  sequential reference implementations, the Monte-Carlo walker, and the
+  sweep-cut metric.
 
 All aggregate statistics of the paper's Table 2 (``n``, ``m``, mean/max
 weight, ``cos²φ``) are computed here with Spark SQL so they can be checked

@@ -1,6 +1,6 @@
 """Tests for the Monte-Carlo walker, FORA and SpeedPPR baselines."""
 import dataclasses
-import os
+import functools
 
 import numpy as np
 import pandas as pd
@@ -12,6 +12,7 @@ from repro.core.montecarlo import run_walks, walk_count
 from repro.core.power import ground_truth
 from repro.core.localpush import local_push
 from repro.core.runtime import DEFAULT_SCAN_FRAC
+from repro.graphs.graph import WeightedGraph
 
 from .helpers import get_graph
 
@@ -29,71 +30,74 @@ class TestWalkCount:
         assert walk_count(delta=1e-3, p_f=0.01) > walk_count(delta=1e-2, p_f=0.01)
 
 
+WALK_PARAMS = dict(delta=1e-2, eps_r=0.5, p_f=0.01)
+
+
+@pytest.mark.parametrize(
+    "method, kwargs",
+    [
+        ("walk_count", dict(delta=0.0)),
+        ("walk_count", dict(delta=-1e-2)),
+        ("walk_count", dict(eps_r=0.0)),
+        ("walk_count", dict(p_f=0.0)),
+        ("walk_count", dict(p_f=1.0)),
+        ("walk_count", dict(p_f=1.5)),
+        ("walk_count", dict(p_f=2.0)),
+        ("monte_carlo", dict(n_walks=0)),
+        ("monte_carlo", dict(n_walks=-3)),
+        ("monte_carlo", dict(p_f=2.0)),
+        ("fora", dict(p_f=2.0)),
+        ("fora", dict(delta=-1e-2)),
+    ],
+)
+def test_rejects_degenerate_walk_parameters(spark, method, kwargs):
+    """A walk count needs δ > 0, ε_r > 0 and 0 < p_f < 1, and plain
+    Monte-Carlo at least one walk; anything else is refused before any
+    walk runs instead of failing inside the walker or returning a
+    meaningless count."""
+    if method == "walk_count":
+        query = functools.partial(walk_count, **{**WALK_PARAMS, **kwargs})
+    else:
+        pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
+        g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+        method = {"monte_carlo": monte_carlo, "fora": fora}[method]
+        query = functools.partial(method, g, 0, alpha=ALPHA, **kwargs)
+    with pytest.raises(ValueError, match="walk parameters"):
+        query()
+
+
 class TestRunWalks:
     def test_terminal_mass_conserved(self, spark):
         g = get_graph(spark, "er_lognormal")
-        starts = pd.DataFrame(
-            {"walk_id": np.arange(500), "start": np.zeros(500, np.int64),
-             "contrib": np.full(500, 1 / 500)}
-        )
-        per_node, steps = run_walks(spark, g.csr, starts, alpha=ALPHA, seed=1)
+        start, contrib = np.zeros(500, np.int64), np.full(500, 1 / 500)
+        per_node, steps = run_walks(g.csr, start, contrib, alpha=ALPHA, seed=1)
         assert per_node["contrib"].sum() == pytest.approx(1.0)
         assert steps > 0
 
     def test_deterministic_in_seed(self, spark):
         g = get_graph(spark, "triangle")
-        starts = pd.DataFrame(
-            {"walk_id": np.arange(200), "start": np.zeros(200, np.int64),
-             "contrib": np.ones(200)}
-        )
-        a, _ = run_walks(spark, g.csr, starts, alpha=ALPHA, seed=7)
-        b, _ = run_walks(spark, g.csr, starts, alpha=ALPHA, seed=7)
+        start, contrib = np.zeros(200, np.int64), np.ones(200)
+        a, _ = run_walks(g.csr, start, contrib, alpha=ALPHA, seed=7)
+        b, _ = run_walks(g.csr, start, contrib, alpha=ALPHA, seed=7)
         pd.testing.assert_frame_equal(
             a.sort_values("node").reset_index(drop=True),
             b.sort_values("node").reset_index(drop=True),
         )
 
-    def test_destroys_broadcast(self, spark, monkeypatch):
-        """The CSR broadcast of a query is released once its walks are in."""
-        sc = spark.sparkContext
-        made = []
-        broadcast = sc.broadcast
-
-        def recording_broadcast(value):
-            made.append(broadcast(value))
-            return made[-1]
-
-        monkeypatch.setattr(sc, "broadcast", recording_broadcast)
-        g = get_graph(spark, "triangle")
-        starts = pd.DataFrame(
-            {"walk_id": np.arange(50), "start": np.zeros(50, np.int64),
-             "contrib": np.ones(50)}
-        )
-        run_walks(spark, g.csr, starts, alpha=ALPHA, seed=7)
-        assert len(made) == 1
-        assert not made[0]._jbroadcast.isValid()
-        assert not os.path.exists(made[0]._path)
-
     def test_expected_steps_geometric(self, spark):
         """Mean walk length is (1-α)/α ≈ 4 for α = 0.2."""
         g = get_graph(spark, "er_lognormal")
         n_w = 2000
-        starts = pd.DataFrame(
-            {"walk_id": np.arange(n_w), "start": np.zeros(n_w, np.int64),
-             "contrib": np.ones(n_w)}
-        )
-        _, steps = run_walks(spark, g.csr, starts, alpha=ALPHA, seed=3)
+        start, contrib = np.zeros(n_w, np.int64), np.ones(n_w)
+        _, steps = run_walks(g.csr, start, contrib, alpha=ALPHA, seed=3)
         assert steps / n_w == pytest.approx((1 - ALPHA) / ALPHA, rel=0.2)
 
     def test_weighted_sampling_respects_weights(self, spark):
         """On the star, almost all first moves go along the heavy edge."""
         g = get_graph(spark, "star")
         n_w = 3000
-        starts = pd.DataFrame(
-            {"walk_id": np.arange(n_w), "start": np.zeros(n_w, np.int64),
-             "contrib": np.full(n_w, 1 / n_w)}
-        )
-        per_node, _ = run_walks(spark, g.csr, starts, alpha=ALPHA, seed=5)
+        start, contrib = np.zeros(n_w, np.int64), np.full(n_w, 1 / n_w)
+        per_node, _ = run_walks(g.csr, start, contrib, alpha=ALPHA, seed=5)
         est = np.zeros(g.n)
         est[per_node["node"].to_numpy()] = per_node["contrib"].to_numpy()
         gt = ground_truth(g.csr, 0, alpha=ALPHA)

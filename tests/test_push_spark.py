@@ -15,7 +15,7 @@ from pyspark.sql import functions as F
 
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
-from repro.core.fora import monte_carlo
+from repro.core.fora import mc_repair, monte_carlo
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
 from repro.core.sequential import sequential_edge_push, sequential_local_push
@@ -265,6 +265,28 @@ def test_jobs_per_query(spark, method):
         res = local_push(g, 0, alpha=ALPHA, theta=theta)
     assert res.cost.supersteps > 10
     assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS[method]
+
+
+# Spark jobs of the walk phase once the graph's CSR is collected: the walks
+# run on the driver, and the repair after a push collects its residues.
+WALK_JOBS = {"monte_carlo": 0, "mc_repair": 1}
+
+
+@pytest.mark.parametrize("graph_name", ["er_lognormal", "star"])
+@pytest.mark.parametrize("method", sorted(WALK_JOBS))
+def test_walk_phase_jobs(spark, method, graph_name):
+    """Walks launch no Spark job."""
+    g = get_graph(spark, graph_name)
+    g.csr  # collected once per graph, before the count starts
+    if method == "monte_carlo":
+        first = highest_job_id(spark)
+        res = monte_carlo(g, 0, alpha=ALPHA, n_walks=2000, seed=1)
+    else:
+        push_res = local_push(g, 0, alpha=ALPHA, theta=1e-3)
+        first = highest_job_id(spark)
+        res = mc_repair(g, push_res, omega=3000, alpha=ALPHA, seed=1)
+    assert res.cost.walks > 0
+    assert highest_job_id(spark) - first == WALK_JOBS[method]
 
 
 @pytest.mark.parametrize("method", [edge_push, local_push])
