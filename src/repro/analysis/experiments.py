@@ -38,18 +38,17 @@ def table2_rows(spark: SparkSession, keys=ds.ALL_KEYS) -> pd.DataFrame:
     """Measured Table-2 metadata for the dataset-lites, next to the paper's."""
     rows = []
     for key in keys:
-        g = ds.load(spark, key)
-        st = g.stats()
+        csr = ds.load(spark, key).csr
         paper = ds.PAPER_TABLE2[key]
         rows.append(
             {
                 "dataset": key,
                 "kind": ds.SPECS[key].kind,
-                "n": st["n"],
-                "m": st["m"],
-                "mean_weight": round(st["mean_weight"], 2),
-                "max_weight": round(st["max_weight"], 1),
-                "cos2_phi": round(st["cos2_phi"], 3),
+                "n": csr.n,
+                "m": csr.nnz // 2,
+                "mean_weight": round(float(csr.weights.mean()), 2),
+                "max_weight": round(float(csr.weights.max()), 1),
+                "cos2_phi": round(U.cos2_phi(csr), 3),
                 "paper_n": paper["n"],
                 "paper_m": paper["m"],
                 "paper_mean_w": paper["mean_w"],
@@ -169,7 +168,7 @@ def l1_tradeoff(
             runs.append((
                 "PowForPush", f"eps={eps:g}",
                 local_push(
-                    graph, s, alpha=ALPHA, theta=eps / graph.norm_a(),
+                    graph, s, alpha=ALPHA, theta=eps / graph.csr.norm_a(),
                     scan_frac=scan_frac,
                 ),
             ))
@@ -233,7 +232,7 @@ def unbalance_sweep(
                     ("l1", "EdgePush", param,
                      edge_push(g, s, alpha=ALPHA, mode="l1", tol=eps)),
                     ("l1", "LocalPush", param,
-                     local_push(g, s, alpha=ALPHA, theta=eps / g.norm_a())),
+                     local_push(g, s, alpha=ALPHA, theta=eps / csr.norm_a())),
                 ]
             rows += [
                 _row(

@@ -59,7 +59,7 @@ def edge_push(
     r, out)``. Raises ``ValueError`` for α ∉ (0,1) or a source that is not a
     node with edges.
     """
-    check_query(graph.n, source, alpha)
+    check_query(graph, source, alpha)
 
     def step(edges: DataFrame, push_cond) -> DataFrame:
         inc = (
@@ -88,17 +88,21 @@ def edge_push(
         )
 
     with few_shuffle_partitions(graph.spark):
-        two_m = graph.num_directed_edges()
-        # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
-        edges = thresholds_df(graph, mode=mode, tol=tol).select(
-            "src",
-            "dst",
-            "p",
-            "theta",
-            F.when(F.col("src") == source, (1.0 - alpha) * F.col("p"))
-            .otherwise(0.0)
-            .alias("r"),
-            F.lit(0.0).alias("out"),
+        # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges;
+        # partitioned by src, as each superstep's income join leaves it
+        edges = (
+            thresholds_df(graph, mode=mode, tol=tol)
+            .select(
+                "src",
+                "dst",
+                "p",
+                "theta",
+                F.when(F.col("src") == source, (1.0 - alpha) * F.col("p"))
+                .otherwise(0.0)
+                .alias("r"),
+                F.lit(0.0).alias("out"),
+            )
+            .repartition("src")
         )
         cost = CostStats()
         edges, converged = push_supersteps(
@@ -107,7 +111,7 @@ def edge_push(
             cost,
             threshold=F.col("theta"),
             touches=F.lit(1),
-            scan_size=two_m,
+            scan_size=graph.csr.nnz,
             scan_frac=scan_frac,
             max_supersteps=max_supersteps,
         )

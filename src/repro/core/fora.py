@@ -91,9 +91,7 @@ def monte_carlo(
     1/W; W = ``n_walks``, or ω for (δ, ε_r, p_f). Raises ``ValueError`` for
     α ∉ (0,1), a source that is not a node with edges, ``n_walks < 1`` or
     walk parameters :func:`walk_count` refuses."""
-    check_query(graph.n, source, alpha)
-    if graph.csr.deg[source] == 0:
-        raise ValueError("the source has no edges")
+    check_query(graph, source, alpha)
     if n_walks is not None and n_walks < 1:
         raise ValueError(f"walk parameters need n_walks >= 1, got {n_walks}")
     empty = pd.DataFrame({"node": np.empty(0, np.int64), "est": np.empty(0)})
@@ -134,7 +132,8 @@ def mc_repair(
 def balanced_theta(graph: WeightedGraph, *, alpha: float, omega: int) -> float:
     """FORA's push/walk balancing: push cost ≈ 2m/(α·θ·‖A‖₁) against
     ≈ θ·‖A‖₁·ω expected walks ⇒ θ* = sqrt(2m/(α·ω))/‖A‖₁."""
-    return math.sqrt(graph.num_directed_edges() / (alpha * omega)) / graph.norm_a()
+    csr = graph.csr
+    return math.sqrt(csr.nnz / (alpha * omega)) / csr.norm_a()
 
 
 def fora(

@@ -49,7 +49,7 @@ def local_push(
     compensate its residual with random walks. Raises ``ValueError`` for
     α ∉ (0,1) or a source that is not a node with edges.
     """
-    check_query(graph.n, source, alpha)
+    check_query(graph, source, alpha)
 
     def step(state: DataFrame, push_cond) -> DataFrame:
         msgs = (
@@ -81,10 +81,14 @@ def local_push(
 
     with few_shuffle_partitions(graph.spark):
         # materialized once per query, partitioned by src like the state's node
-        tedges = state_checkpoint(graph.transition.select("src", "dst", "p"))
-        state = graph.degrees.withColumn(
-            "r", F.when(F.col("node") == source, 1.0).otherwise(0.0)
-        ).withColumn("pi", F.lit(0.0))
+        tedges = state_checkpoint(
+            graph.transition.select("src", "dst", "p").repartition("src")
+        )
+        state = (
+            graph.degrees.repartition("node")
+            .withColumn("r", F.when(F.col("node") == source, 1.0).otherwise(0.0))
+            .withColumn("pi", F.lit(0.0))
+        )
         cost = CostStats()
         state, converged = push_supersteps(
             state,

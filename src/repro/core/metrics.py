@@ -8,17 +8,14 @@
 - ``conductance`` + the sweep-cut procedure of §2 (steps i–iii), the local
   clustering application driving Figs 6/9.
 
-Vector metrics are numpy over dense vectors indexed by node id (use
-``PPRResult.vector(n)``); ``conductance_df`` is a Spark SQL formulation of
-Φ(S) for a fixed set S so the DuckDB oracle can check the sweep's math.
+All metrics are numpy: vector metrics over dense vectors indexed by node id
+(use ``PPRResult.vector(n)``), conductance over the graph's CSR.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graphs.graph import CSR, WeightedGraph
+from repro.graphs.graph import CSR
 
 
 def l1_error(est: np.ndarray, gt: np.ndarray) -> float:
@@ -96,35 +93,3 @@ def sweep_conductance(
         return best, best_size, np.asarray(curve)
     return best, best_size
 
-
-def conductance_df(graph: WeightedGraph, members: DataFrame) -> DataFrame:
-    """Φ(S) as one Spark SQL aggregation (``members``: single column ``node``).
-
-    Oracle-checkable: the same arithmetic expressed over the edge table in
-    DuckDB must agree row-for-row.
-    """
-    m = members.withColumnRenamed("node", "mnode")
-    e = (
-        graph.edges.join(
-            m.withColumnRenamed("mnode", "s_in"), graph.edges.src == F.col("s_in"), "left"
-        )
-        .join(m.withColumnRenamed("mnode", "d_in"), F.col("dst") == F.col("d_in"), "left")
-        .select(
-            "weight",
-            F.col("s_in").isNotNull().alias("src_in"),
-            F.col("d_in").isNotNull().alias("dst_in"),
-        )
-    )
-    return e.agg(
-        (
-            F.sum(F.when(F.col("src_in") != F.col("dst_in"), F.col("weight")).otherwise(0.0))
-            / 2.0
-        ).alias("cut"),
-        F.sum(F.when(F.col("src_in"), F.col("weight")).otherwise(0.0)).alias("vol_s"),
-        F.sum(F.when(~F.col("src_in"), F.col("weight")).otherwise(0.0)).alias("vol_rest"),
-    ).select(
-        "cut",
-        "vol_s",
-        "vol_rest",
-        (F.col("cut") / F.least("vol_s", "vol_rest")).alias("conductance"),
-    )

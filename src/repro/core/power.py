@@ -57,7 +57,7 @@ def power_method(
         .filter(F.col("est") > 0)
         .toPandas()
     )
-    two_m = graph.num_directed_edges()
+    two_m = graph.csr.nnz
     cost = CostStats(
         supersteps=iters,
         pushes=iters * two_m,

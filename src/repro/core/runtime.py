@@ -38,6 +38,8 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graphs.graph import WeightedGraph
+
 SHUFFLE_PARTITIONS = 8  # shuffle partitions inside an algorithm's loop
 DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
 
@@ -121,12 +123,15 @@ def state_checkpoint(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
-def check_query(n: int, source: int, alpha: float) -> None:
-    """Reject α ∉ (0,1) and a source outside [0, n) without a Spark job."""
+def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:
+    """Reject α ∉ (0,1), a source outside [0, n) and a source with no edges,
+    from the graph's CSR and without a Spark job."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} is not a node id in [0, {n})")
+    if not 0 <= source < graph.n:
+        raise ValueError(f"source {source} is not a node id in [0, {graph.n})")
+    if graph.csr.deg[source] == 0:
+        raise ValueError("the source has no edges")
 
 
 def push_supersteps(
@@ -160,9 +165,8 @@ def push_supersteps(
     The state is checkpointed initially and after every superstep, and the
     checkpoint's own job also computes, as observed metrics
     (``DataFrame.observe``), the next superstep's candidate count and
-    touches, the same for r > 0 and the residue total (zero initially means
-    the source has no edges, a ``ValueError``). So a superstep is one Spark
-    job. The run stops when no candidates are left, or unconverged after
+    touches, and the same for r > 0. So a superstep is one Spark job. The
+    run stops when no candidates are left, or unconverged after
     ``max_supersteps``; ``cost`` brackets the loop.
     """
     r = F.col("r")
@@ -173,7 +177,6 @@ def push_supersteps(
         F.sum(F.when(is_cand, touches).otherwise(0)).alias("cand_touches"),
         F.sum(nonzero.cast("long")).alias("n_nz"),
         F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
-        F.sum(r).alias("mass"),
     )
 
     def counted_checkpoint(df: DataFrame) -> tuple[DataFrame, dict]:
@@ -182,8 +185,6 @@ def push_supersteps(
         return df, obs.get
 
     state, agg = counted_checkpoint(state)
-    if not agg["mass"]:
-        raise ValueError("the source has no edges")
     cost.start()
     for _ in range(max_supersteps):
         if not agg["n_cand"]:

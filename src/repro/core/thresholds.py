@@ -7,17 +7,16 @@ derives Cauchy–Schwarz-optimal settings:
 - normalized additive error r_max (Theorem 3):
                             θ(u,v) = r_max·d(v)·√A_uv / Σ_{x∈N(v)} √A_xv
 
-Both are provided as numpy arrays over the CSR's directed edges (for the
-sequential reference) and as Spark DataFrame builders (for the distributed
-batch EdgePush). The predicted expected-cost bounds of Table 1 / Lemma 3
+Both are numpy arrays over the CSR's directed edges; the sequential
+reference reads them directly and :func:`thresholds_df` attaches them to
+the edges as a Spark DataFrame for the distributed batch EdgePush. The
+predicted expected-cost bounds of Table 1 / Lemma 3
 are also computed here for the complexity-reproduction experiment.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.graphs.graph import CSR, WeightedGraph
 
@@ -52,40 +51,22 @@ def theta_additive(csr: CSR, rmax: float) -> np.ndarray:
 
 def theta_uniform(csr: CSR, theta: float) -> np.ndarray:
     """A flat per-edge threshold (ablation: EdgePush without Thm-2/3 tuning)."""
-    return np.full(csr.nnz, theta)
+    return np.full(csr.nnz, max(theta, THETA_FLOOR))
 
 
-# ------------------------------------------------------------ Spark builders
+# ------------------------------------------------------------ Spark builder
+_THETAS = {"l1": theta_l1, "additive": theta_additive, "uniform": theta_uniform}
+
+
 def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
     """Edge DataFrame ``(src, dst, weight, p, theta)`` for batch EdgePush.
 
     ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε), ``"additive"`` (Theorem 3,
     ``tol`` = r_max) or ``"uniform"`` (flat θ = ``tol``).
     """
-    t = graph.transition  # src, dst, weight, p
-    floor = F.lit(THETA_FLOOR)
-    if mode == "l1":
-        total = t.agg(F.sum(F.sqrt("weight"))).collect()[0][0]
-        return t.withColumn(
-            "theta", F.greatest(F.lit(tol) * F.sqrt("weight") / F.lit(total), floor)
-        )
-    if mode == "additive":
-        per_dst = Window.partitionBy("dst")
-        # d(v) equals the sqrt/weight sums over v's in-edges (symmetry)
-        return (
-            t.withColumn("s_v", F.sum(F.sqrt("weight")).over(per_dst))
-            .withColumn("d_v", F.sum("weight").over(per_dst))
-            .withColumn(
-                "theta",
-                F.greatest(
-                    F.lit(tol) * F.col("d_v") * F.sqrt("weight") / F.col("s_v"), floor
-                ),
-            )
-            .drop("s_v", "d_v")
-        )
-    if mode == "uniform":
-        return t.withColumn("theta", F.greatest(F.lit(tol), floor))
-    raise ValueError(f"unknown threshold mode: {mode!r}")
+    if mode not in _THETAS:
+        raise ValueError(f"unknown threshold mode: {mode!r}")
+    return graph.edge_frame(theta=_THETAS[mode](graph.csr, tol))
 
 
 # ----------------------------------------------------- Table-1 cost predictions

@@ -6,18 +6,19 @@ directions, and the two directions are treated as distinct directed edges).
 This module provides the canonical representation used by every algorithm
 in ``repro.core``:
 
-- a :class:`WeightedGraph` wrapping a Spark ``DataFrame`` of *directed*
-  edges ``(src, dst, weight)`` that is symmetric (both directions present),
-  with node ids contiguous in ``[0, n)``;
-- derived Spark DataFrames: per-node weighted degree ``d(u)``, neighborhood
-  size ``n(u)``, and transition probabilities ``p = A_uv / d(u)``;
-- a driver-side :class:`CSR` export used by the numpy ground truth, the
-  sequential reference implementations, the Monte-Carlo walker, and the
-  sweep-cut metric.
+- a driver-side :class:`CSR` of the *directed* edges ``(src, dst, weight)``,
+  symmetric (both directions present), with node ids in ``[0, n)``. It is
+  the graph: the push loops' thresholds, 2m, ‖A‖₁, cos²φ, the numpy ground
+  truth, the sequential references, the Monte-Carlo walker and the
+  sweep-cut metric all read it;
+- a :class:`WeightedGraph` that holds the CSR and derives from it, once per
+  graph, the Spark DataFrames the distributed push loops start from: the
+  edges with transition probabilities ``p = A_uv / d(u)`` and the per-node
+  weighted degree ``d(u)`` and neighborhood size ``n(u)``.
 
-All aggregate statistics of the paper's Table 2 (``n``, ``m``, mean/max
-weight, ``cos²φ``) are computed here with Spark SQL so they can be checked
-against the DuckDB oracle.
+Every graph is built from an undirected edge list on the driver
+(:meth:`WeightedGraph.from_undirected_pandas`), which is where the input is
+checked.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,18 @@ class CSR:
 
 
 class WeightedGraph:
-    """An undirected weighted graph held as a symmetric directed edge DataFrame.
+    """An undirected weighted graph held as a symmetric directed edge CSR.
 
-    ``edges`` has columns ``src: long, dst: long, weight: double`` and
-    contains **both** directions of every undirected edge. Node ids must be
-    contiguous ``0..n-1`` (generators guarantee this; use
-    :func:`from_undirected_pandas` to build/remap from raw pairs).
+    ``csr`` contains **both** directions of every undirected edge, sorted by
+    ``(src, dst)``, with node ids in ``[0, n)`` and positive weights. Build
+    from raw pairs with :meth:`from_undirected_pandas`, which checks them;
+    the constructor takes a CSR as it is.
     """
 
-    def __init__(self, spark: SparkSession, edges: DataFrame, n: int):
+    def __init__(self, spark: SparkSession, csr: CSR):
         self.spark = spark
-        self.edges = edges
-        self.n = n
+        self.csr = csr
+        self.n = csr.n
 
     # ---------------------------------------------------------- construction
     @staticmethod
@@ -107,98 +107,71 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """Build from an undirected edge list (one row per undirected edge).
 
-        ``pdf`` columns: ``src, dst, weight`` with ``src != dst`` and
-        positive weights. Zero-weight edges are dropped (the paper's motif
-        weighting can produce φ(e)=0); both directions are materialized.
+        ``pdf`` columns: ``src, dst, weight``. Zero-weight edges are dropped
+        (the paper's motif weighting can produce φ(e)=0); both directions
+        of the others are stored. ``n`` defaults to the largest id kept
+        plus one. Raises ``ValueError`` for a NaN, infinite or negative
+        weight, a self-loop, or an id outside ``[0, n)``.
         """
-        pdf = pdf[pdf["weight"] > 0].copy()
-        sym = pd.concat(
-            [
-                pdf[["src", "dst", "weight"]],
-                pdf.rename(columns={"src": "dst", "dst": "src"})[
-                    ["src", "dst", "weight"]
-                ],
-            ],
-            ignore_index=True,
-        )
+        w = pdf["weight"].to_numpy(np.float64)
+        if not np.isfinite(w).all() or (w < 0).any():
+            raise ValueError("edge weights must be finite and non-negative")
+        keep = w > 0
+        u = pdf["src"].to_numpy(np.int64)[keep]
+        v = pdf["dst"].to_numpy(np.int64)[keep]
+        w = w[keep]
+        if (u == v).any():
+            raise ValueError("the edge list has a self-loop")
         if n is None:
-            n = int(max(sym["src"].max(), sym["dst"].max())) + 1
-        sym["src"] = sym["src"].astype("int64")
-        sym["dst"] = sym["dst"].astype("int64")
-        sym["weight"] = sym["weight"].astype("float64")
-        return WeightedGraph(spark, spark.createDataFrame(sym), n)
-
-    @staticmethod
-    def from_csr(spark: SparkSession, csr: CSR) -> "WeightedGraph":
-        pdf = pd.DataFrame(
-            {"src": csr.src, "dst": csr.indices, "weight": csr.weights}
+            n = int(max(u.max(), v.max())) + 1
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise ValueError(f"node ids must lie in [0, {n})")
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.lexsort((dst, src))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+        csr = CSR(
+            n=n, indptr=indptr, indices=dst[order], weights=np.concatenate([w, w])[order]
         )
-        return WeightedGraph(spark, spark.createDataFrame(pdf), csr.n)
+        return WeightedGraph(spark, csr)
 
-    # ------------------------------------------------------------- derived DFs
-    @cached_property
-    def degrees(self) -> DataFrame:
-        """Per-node ``deg`` (weighted degree d(u)) and ``nbrs`` (n(u))."""
-        return (
-            self.edges.groupBy("src")
-            .agg(F.sum("weight").alias("deg"), F.count("*").alias("nbrs"))
-            .withColumnRenamed("src", "node")
+    # ------------------------------------------------------------ Spark views
+    def edge_frame(self, **columns: np.ndarray) -> DataFrame:
+        """The directed edges as a Spark DataFrame ``(src, dst, weight, p,
+        *columns)``, in CSR order, with transition probability
+        ``p = A_uv / d(u)``; each keyword is one more per-edge column."""
+        c = self.csr
+        src = c.src
+        return self.spark.createDataFrame(
+            pd.DataFrame(
+                {
+                    "src": src,
+                    "dst": c.indices,
+                    "weight": c.weights,
+                    "p": c.weights / c.deg[src],
+                    **columns,
+                }
+            )
         )
 
     @cached_property
     def transition(self) -> DataFrame:
-        """Edges with transition probability ``p = A_uv / d(u)``."""
-        return (
-            self.edges.join(self.degrees, self.edges.src == F.col("node"))
-            .select("src", "dst", "weight", (F.col("weight") / F.col("deg")).alias("p"))
-        )
+        """Edges ``(src, dst, weight, p)`` with ``p = A_uv / d(u)``."""
+        return self.edge_frame()
 
-    # ------------------------------------------------------------- statistics
-    def num_directed_edges(self) -> int:
-        """|Ē| = 2m."""
-        return self.edges.count()
-
-    def norm_a(self) -> float:
-        return self.edges.agg(F.sum("weight")).collect()[0][0]
-
-    def stats(self) -> dict:
-        """Table-2 style metadata: n, m, mean/max weight, cos²φ.
-
-        ``cos²φ = (Σ_{Ē}√A_uv)² / (2m · ‖A‖₁)`` (Lemma 6): the squared
-        cosine between the characteristic vectors ζ=(√A_uv) and the all-one
-        vector χ. Small cos²φ ⇔ unbalanced weights.
-        """
-        row = self.edges.agg(
-            F.count("*").alias("dir_edges"),
-            F.sum("weight").alias("norm_a"),
-            F.sum(F.sqrt("weight")).alias("sqrt_sum"),
-            F.mean("weight").alias("mean_w"),
-            F.max("weight").alias("max_w"),
-        ).collect()[0]
-        two_m = row["dir_edges"]
-        cos2 = row["sqrt_sum"] ** 2 / (two_m * row["norm_a"])
-        return {
-            "n": self.n,
-            "m": two_m // 2,
-            "mean_weight": row["mean_w"],
-            "max_weight": row["max_w"],
-            "norm_a": row["norm_a"],
-            "cos2_phi": cos2,
-        }
-
-    # ------------------------------------------------------------ driver view
     @cached_property
-    def csr(self) -> CSR:
-        """Collect the edge set into a driver-side CSR (sorted by src, dst)."""
-        pdf = self.edges.toPandas().sort_values(["src", "dst"])
-        src = pdf["src"].to_numpy(np.int64)
-        counts = np.bincount(src, minlength=self.n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return CSR(
-            n=self.n,
-            indptr=indptr,
-            indices=pdf["dst"].to_numpy(np.int64),
-            weights=pdf["weight"].to_numpy(np.float64),
+    def edges(self) -> DataFrame:
+        """Edges ``(src, dst, weight)``."""
+        return self.transition.select("src", "dst", "weight")
+
+    @cached_property
+    def degrees(self) -> DataFrame:
+        """Per-node ``deg`` (weighted degree d(u)) and ``nbrs`` (n(u)), over
+        the nodes with edges."""
+        c = self.csr
+        nbrs = c.out_degree()
+        node = np.flatnonzero(nbrs)
+        return self.spark.createDataFrame(
+            pd.DataFrame({"node": node, "deg": c.deg[node], "nbrs": nbrs[node]})
         )
 
     def sample_sources(self, k: int, *, seed: int = 0) -> list[int]:

@@ -81,7 +81,7 @@ class TestL1Tradeoff:
     def test_power_method_work_is_m_times_iters(self, rows, spark):
         g = get_graph(spark, "er_lognormal")
         pm = rows[rows["method"] == "PowerMethod"].iloc[0]
-        assert pm["work"] == 4 * g.num_directed_edges()
+        assert pm["work"] == 4 * g.csr.nnz
 
 
 class TestUnbalanceSweep:

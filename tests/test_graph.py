@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.analysis.unbalance import cos2_phi
 from repro.graphs import generators as gen
 from repro.graphs.graph import WeightedGraph
 from repro.oracle import assert_equivalent
@@ -39,10 +40,30 @@ class TestConstruction:
             spark,
             pd.DataFrame({"src": [0, 1], "dst": [1, 2], "weight": [1.0, 0.0]}),
         )
-        assert g.num_directed_edges() == 2  # only 0-1 kept, both directions
+        assert g.csr.nnz == 2  # only 0-1 kept, both directions
 
     def test_positive_weights(self, any_graph):
         assert any_graph.edges.filter("weight <= 0").count() == 0
+
+    @pytest.mark.parametrize(
+        "bad, n",
+        [
+            ((0, 2, float("nan")), None),
+            ((0, 2, float("inf")), None),
+            ((0, 2, -1.0), None),
+            ((1, 1, 1.0), None),
+            ((1, 5, 1.0), 3),
+            ((-1, 2, 1.0), None),
+        ],
+        ids=["nan", "inf", "negative_weight", "self_loop", "id_ge_n", "negative_id"],
+    )
+    def test_rejects_malformed_edge_list(self, spark, bad, n):
+        """The one constructor checks its input: a weight that is not a
+        finite non-negative number, a self-loop or an id outside [0, n)
+        raises instead of building a graph that answers wrongly."""
+        pdf = pd.DataFrame([(0, 1, 1.0), (1, 2, 2.0), bad], columns=["src", "dst", "weight"])
+        with pytest.raises(ValueError):
+            WeightedGraph.from_undirected_pandas(spark, pdf, n=n)
 
 
 class TestDerived:
@@ -71,17 +92,25 @@ class TestDerived:
     def test_norm_a_is_twice_undirected_weight(self, spark):
         pdf = gen.er_graph(30, 0.2, seed=1)
         g = build(spark, pdf)
-        assert g.norm_a() == pytest.approx(2 * pdf["weight"].sum())
+        assert g.csr.norm_a() == pytest.approx(2 * pdf["weight"].sum())
 
 
 class TestCSR:
     def test_csr_roundtrip(self, any_graph):
+        """One direction of each CSR edge, fed back to the constructor,
+        builds the same CSR and the same Spark edges."""
         csr = any_graph.csr
-        assert csr.nnz == any_graph.num_directed_edges()
         assert csr.indptr[-1] == csr.nnz
-        g2 = WeightedGraph.from_csr(any_graph.spark, csr)
+        fwd = csr.src < csr.indices
+        pdf = pd.DataFrame(
+            {"src": csr.src[fwd], "dst": csr.indices[fwd], "weight": csr.weights[fwd]}
+        )
+        g2 = WeightedGraph.from_undirected_pandas(any_graph.spark, pdf, n=csr.n)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(g2.csr, name), getattr(csr, name))
         a = any_graph.edges.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
         b = g2.edges.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
+        assert len(a) == csr.nnz
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
     def test_csr_degrees_match_spark(self, any_graph):
@@ -115,15 +144,13 @@ class TestCSR:
 class TestStats:
     def test_stats_counts(self, spark):
         pdf = gen.er_graph(40, 0.15, seed=3)
-        g = build(spark, pdf)
-        st = g.stats()
-        assert st["n"] == 40
-        assert st["m"] == len(pdf)
-        assert st["mean_weight"] == pytest.approx(1.0)
-        assert st["cos2_phi"] == pytest.approx(1.0)  # unit weights: balanced
+        csr = build(spark, pdf).csr
+        assert csr.n == 40
+        assert csr.nnz // 2 == len(pdf)
+        assert csr.weights.mean() == pytest.approx(1.0)
+        assert cos2_phi(csr) == pytest.approx(1.0)  # unit weights: balanced
 
     def test_stats_cos2_matches_oracle(self, spark, any_graph):
-        st = any_graph.stats()
         import duckdb
 
         con = duckdb.connect()
@@ -132,8 +159,8 @@ class TestStats:
             "SELECT POW(SUM(SQRT(weight)), 2) / (COUNT(*) * SUM(weight)) FROM edges"
         ).fetchone()[0]
         con.close()
-        assert st["cos2_phi"] == pytest.approx(c, rel=1e-9)
+        assert cos2_phi(any_graph.csr) == pytest.approx(c, rel=1e-9)
 
     def test_star_is_unbalanced(self, spark):
-        st = build(spark, gen.star_bad_case(200)).stats()
-        assert st["cos2_phi"] < 0.2  # Figure-1 graph is heavily unbalanced
+        csr = build(spark, gen.star_bad_case(200)).csr
+        assert cos2_phi(csr) < 0.2  # Figure-1 graph is heavily unbalanced

@@ -6,7 +6,6 @@ import pytest
 from repro.core import metrics as M
 from repro.core.power import ground_truth
 from repro.graphs import generators as gen
-from repro.oracle import assert_equivalent
 
 from .helpers import build, get_graph
 
@@ -114,24 +113,16 @@ class TestConductance:
             M.conductance_of_set(g.csr, ~members)
         )
 
-    def test_conductance_df_matches_numpy(self, spark):
-        g = get_graph(spark, "er_lognormal")
-        rng = np.random.default_rng(2)
-        members = rng.random(g.n) < 0.4
-        mdf = g.spark.createDataFrame(
-            pd.DataFrame({"node": np.flatnonzero(members)})
-        )
-        row = M.conductance_df(g, mdf).collect()[0]
-        assert row["conductance"] == pytest.approx(
-            M.conductance_of_set(g.csr, members), rel=1e-9
-        )
-
     def test_conductance_df_matches_oracle(self, spark):
+        """DuckDB's Φ(S) over the edge table equals the numpy Φ(S)."""
+        import duckdb
+
         g = get_graph(spark, "er_lognormal")
         members = pd.DataFrame({"node": np.arange(0, g.n, 3)})
-        mdf = g.spark.createDataFrame(members)
-        assert_equivalent(
-            M.conductance_df(g, mdf),
+        con = duckdb.connect()
+        con.register("edges", g.edges.toPandas())
+        con.register("members", members)
+        phi = con.execute(
             """
             WITH flags AS (
               SELECT e.weight,
@@ -142,14 +133,13 @@ class TestConductance:
               LEFT JOIN members d ON e.dst = d.node
             )
             SELECT
-              SUM(CASE WHEN src_in <> dst_in THEN weight ELSE 0 END)/2.0 AS cut,
-              SUM(CASE WHEN src_in THEN weight ELSE 0 END) AS vol_s,
-              SUM(CASE WHEN NOT src_in THEN weight ELSE 0 END) AS vol_rest,
               (SUM(CASE WHEN src_in <> dst_in THEN weight ELSE 0 END)/2.0)
                 / LEAST(SUM(CASE WHEN src_in THEN weight ELSE 0 END),
-                        SUM(CASE WHEN NOT src_in THEN weight ELSE 0 END)) AS conductance
+                        SUM(CASE WHEN NOT src_in THEN weight ELSE 0 END))
             FROM flags
-            """,
-            edges=g.edges,
-            members=members,
-        )
+            """
+        ).fetchone()[0]
+        con.close()
+        mask = np.zeros(g.n, dtype=bool)
+        mask[members["node"]] = True
+        assert M.conductance_of_set(g.csr, mask) == pytest.approx(phi, rel=1e-9)

@@ -188,7 +188,7 @@ class TestFora:
         omega = 1000
         t = balanced_theta(g, alpha=ALPHA, omega=omega)
         assert t == pytest.approx(
-            np.sqrt(g.num_directed_edges() / (ALPHA * omega)) / g.norm_a()
+            np.sqrt(g.csr.nnz / (ALPHA * omega)) / g.csr.norm_a()
         )
 
 

@@ -103,7 +103,7 @@ class TestMotifWeightedGraph:
         # ids 5..8 with a pendant (6-8); triangle keeps 5,6,7 -> remap 0..2
         mg = motif_weighted_graph(spark, g)
         assert mg.n == 3
-        assert mg.num_directed_edges() == 6
+        assert mg.csr.nnz == 6
 
     def test_weights_are_triangle_counts(self, spark, pl_graph):
         mg = motif_weighted_graph(spark, pl_graph)

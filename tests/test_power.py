@@ -89,7 +89,7 @@ class TestPowerMethodSpark:
     def test_cost_is_m_per_iteration(self, spark):
         g = get_graph(spark, "triangle")
         res = power_method(g, 0, iters=5)
-        assert res.cost.edge_touches == 5 * g.num_directed_edges()
+        assert res.cost.edge_touches == 5 * g.csr.nnz
         assert res.cost.supersteps == 5
 
     def test_estimate_sums_to_one(self, spark):

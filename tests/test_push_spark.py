@@ -216,7 +216,7 @@ def test_exact_work(spark, graph_name, run):
     elif run == "ep_add":
         res = edge_push(g, 0, alpha=ALPHA, mode="additive", tol=1e-3)
     elif run == "lp_l1":
-        res = local_push(g, 0, alpha=ALPHA, theta=0.05 / g.norm_a())
+        res = local_push(g, 0, alpha=ALPHA, theta=0.05 / g.csr.norm_a())
     else:
         res = local_push(g, 0, alpha=ALPHA, theta=1e-3, scan_frac=0.05)
     c = res.cost
@@ -233,18 +233,20 @@ def test_exact_work(spark, graph_name, run):
 def test_rejects_degenerate_query(spark, method, source, alpha):
     """Node 2 of this 3-node graph has no edges: its PPR is not defined by
     a push or a walk, so the query is refused instead of returning an
-    empty or wrong estimate."""
+    empty or wrong estimate, from the graph's CSR before any Spark job."""
     pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
     g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    first = highest_job_id(spark)
     with pytest.raises(ValueError):
         method(g, source, alpha=alpha)
+    assert highest_job_id(spark) == first
 
 
-# Spark jobs a query runs besides one per superstep. EdgePush (ℓ1): the 2m
-# count, the Theorem-2 threshold total, the initial checkpoint and the
-# estimate's collect. LocalPush: the transition-edge checkpoint, the initial
-# checkpoint and the estimate's collect.
-FIXED_JOBS = {"edge_push": 4, "local_push": 3}
+# Spark jobs a query runs besides one per superstep. EdgePush: the initial
+# checkpoint and the estimate's collect (2m and the thresholds come from the
+# CSR). LocalPush: the transition-edge checkpoint, the initial checkpoint
+# and the estimate's collect.
+FIXED_JOBS = {"edge_push": 2, "local_push": 3}
 
 
 def highest_job_id(spark) -> int:
@@ -257,7 +259,7 @@ def test_jobs_per_query(spark, method):
     """A superstep is one Spark job: its checkpoint also counts the next
     superstep's candidates."""
     g = get_graph(spark, "er_lognormal")
-    theta = 0.05 / g.norm_a()  # a job of its own, run before the count starts
+    theta = 0.05 / g.csr.norm_a()
     first = highest_job_id(spark)
     if method == "edge_push":
         res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05)
@@ -267,8 +269,8 @@ def test_jobs_per_query(spark, method):
     assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS[method]
 
 
-# Spark jobs of the walk phase once the graph's CSR is collected: the walks
-# run on the driver, and the repair after a push collects its residues.
+# Spark jobs of the walk phase: the walks run on the driver over the graph's
+# CSR, and the repair after a push collects its residues.
 WALK_JOBS = {"monte_carlo": 0, "mc_repair": 1}
 
 
@@ -277,7 +279,6 @@ WALK_JOBS = {"monte_carlo": 0, "mc_repair": 1}
 def test_walk_phase_jobs(spark, method, graph_name):
     """Walks launch no Spark job."""
     g = get_graph(spark, graph_name)
-    g.csr  # collected once per graph, before the count starts
     if method == "monte_carlo":
         first = highest_job_id(spark)
         res = monte_carlo(g, 0, alpha=ALPHA, n_walks=2000, seed=1)

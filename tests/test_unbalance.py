@@ -27,11 +27,6 @@ class TestCos2Phi:
         assert U.cos2_phi(g.csr) == pytest.approx(1.0)
         assert np.allclose(U.cos2_phi_v(g.csr), 1.0)
 
-    def test_matches_graph_stats(self, any_graph):
-        assert any_graph.stats()["cos2_phi"] == pytest.approx(
-            U.cos2_phi(any_graph.csr), rel=1e-9
-        )
-
     def test_per_node_bounded(self, any_graph):
         c = U.cos2_phi_v(any_graph.csr)
         assert (c <= 1 + 1e-12).all()
