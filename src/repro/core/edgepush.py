@@ -24,7 +24,9 @@ push rule.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from typing import Callable
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.runtime import (
@@ -61,31 +63,29 @@ def edge_push(
     """
     check_query(graph, source, alpha)
 
-    def step(edges: DataFrame, push_cond) -> DataFrame:
-        inc = (
-            edges.filter(push_cond)
-            .groupBy("dst")
-            .agg(F.sum("r").alias("inc"))
-            .withColumnRenamed("dst", "inode")
-        )
-        return (
-            edges.join(inc, edges.src == inc.inode, "left")
-            .select(
-                "src",
-                "dst",
-                "p",
-                "theta",
-                (
-                    F.when(push_cond, 0.0).otherwise(F.col("r"))
-                    + (1.0 - alpha)
-                    * F.coalesce(F.col("inc"), F.lit(0.0))
-                    * F.col("p")
-                ).alias("r"),
-                (
-                    F.col("out") + F.when(push_cond, F.col("r")).otherwise(0.0)
-                ).alias("out"),
+    r, p = F.col("r"), F.col("p")
+    income = F.sum(r).alias("inc")
+    received = (1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p
+    static = [F.col(c) for c in ("src", "dst", "p", "theta")]
+
+    def rule(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
+        # the income v receives feeds v's out-edges: rename dst to src to join
+        columns = [
+            *static,
+            (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
+            (F.col("out") + F.when(push_cond, r).otherwise(0.0)).alias("out"),
+        ]
+
+        def step(edges: DataFrame) -> DataFrame:
+            inc = (
+                edges.filter(push_cond)
+                .groupBy("dst")
+                .agg(income)
+                .withColumnRenamed("dst", "src")
             )
-        )
+            return edges.join(inc, "src", "left").select(*columns)
+
+        return step
 
     with few_shuffle_partitions(graph.spark):
         # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges;
@@ -93,13 +93,8 @@ def edge_push(
         edges = (
             thresholds_df(graph, mode=mode, tol=tol)
             .select(
-                "src",
-                "dst",
-                "p",
-                "theta",
-                F.when(F.col("src") == source, (1.0 - alpha) * F.col("p"))
-                .otherwise(0.0)
-                .alias("r"),
+                *static,
+                F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
                 F.lit(0.0).alias("out"),
             )
             .repartition("src")
@@ -107,7 +102,7 @@ def edge_push(
         cost = CostStats()
         edges, converged = push_supersteps(
             edges,
-            step,
+            rule,
             cost,
             threshold=F.col("theta"),
             touches=F.lit(1),

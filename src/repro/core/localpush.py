@@ -18,7 +18,9 @@ push rule.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from typing import Callable
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.runtime import (
@@ -51,38 +53,35 @@ def local_push(
     """
     check_query(graph, source, alpha)
 
-    def step(state: DataFrame, push_cond) -> DataFrame:
-        msgs = (
-            state.filter(push_cond)
-            .join(tedges, F.col("node") == tedges.src)
-            .select(
-                F.col("dst").alias("node"),
-                ((1.0 - alpha) * F.col("r") * F.col("p")).alias("inc"),
+    r = F.col("r")
+    message = [F.col("dst").alias("node"), ((1.0 - alpha) * r * F.col("p")).alias("inc")]
+    income = F.sum("inc").alias("inc")
+    received = F.coalesce(F.col("inc"), F.lit(0.0))
+    static = [F.col(c) for c in ("node", "deg", "nbrs")]
+
+    def rule(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
+        columns = [
+            *static,
+            (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
+            (F.col("pi") + F.when(push_cond, alpha * r).otherwise(0.0)).alias("pi"),
+        ]
+
+        def step(state: DataFrame) -> DataFrame:
+            msgs = (
+                state.filter(push_cond)
+                .join(tedges, "node")
+                .select(*message)
+                .groupBy("node")
+                .agg(income)
             )
-            .groupBy("node")
-            .agg(F.sum("inc").alias("inc"))
-        )
-        return (
-            state.join(msgs, on="node", how="left")
-            .select(
-                "node",
-                "deg",
-                "nbrs",
-                (
-                    F.when(push_cond, 0.0).otherwise(F.col("r"))
-                    + F.coalesce(F.col("inc"), F.lit(0.0))
-                ).alias("r"),
-                (
-                    F.col("pi")
-                    + F.when(push_cond, F.lit(alpha) * F.col("r")).otherwise(0.0)
-                ).alias("pi"),
-            )
-        )
+            return state.join(msgs, "node", "left").select(*columns)
+
+        return step
 
     with few_shuffle_partitions(graph.spark):
-        # materialized once per query, partitioned by src like the state's node
+        # materialized once per query, keyed and partitioned like the state
         tedges = state_checkpoint(
-            graph.transition.select("src", "dst", "p").repartition("src")
+            graph.transition.selectExpr("src AS node", "dst", "p").repartition("node")
         )
         state = (
             graph.degrees.repartition("node")
@@ -92,7 +91,7 @@ def local_push(
         cost = CostStats()
         state, converged = push_supersteps(
             state,
-            step,
+            rule,
             cost,
             threshold=F.col("deg") * F.lit(theta),
             touches=F.col("nbrs"),

@@ -11,15 +11,16 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   every shuffle stage of a superstep as its own Spark job and coalesce the
   partitions, so a checkpointed state would lose its hash partitioning and
   the next superstep would shuffle all of it again.
-  :func:`few_shuffle_partitions` scopes :data:`SHUFFLE_PARTITIONS` with AQE
-  off to the algorithm's loop and restores the session values afterwards
-  (the session is shared with other tests).
+  :func:`few_shuffle_partitions` scopes partitions = ``defaultParallelism``
+  (one task per core) with AQE off to the algorithm's loop and restores the
+  session values afterwards (the session is shared with other tests).
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
 EdgePush, LocalPush and the Power Method; each method supplies only its
 state, threshold, per-push touches and push rule. A superstep is one Spark
 job: the checkpoint that materializes the new state also counts its
-candidates.
+candidates. Every Column a superstep uses is built once per query, before
+the loop, so a superstep only chains Dataset calls on the driver.
 
 :class:`PPRResult` is what every SSPPR method returns, and
 :class:`CostStats` is the machine-independent work metric inside it: the
@@ -40,7 +41,6 @@ from pyspark.sql import functions as F
 
 from repro.graphs.graph import WeightedGraph
 
-SHUFFLE_PARTITIONS = 8  # shuffle partitions inside an algorithm's loop
 DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
 
 
@@ -101,11 +101,11 @@ class PPRResult:
 
 @contextmanager
 def few_shuffle_partitions(spark: SparkSession):
-    """Temporarily lower ``spark.sql.shuffle.partitions`` to
-    :data:`SHUFFLE_PARTITIONS` and turn AQE off for a tight loop, so that a
+    """Temporarily set ``spark.sql.shuffle.partitions`` to the core count
+    (``defaultParallelism``) and turn AQE off for a tight loop, so that a
     checkpointed state keeps its partitioning."""
     settings = {
-        "spark.sql.shuffle.partitions": str(SHUFFLE_PARTITIONS),
+        "spark.sql.shuffle.partitions": str(spark.sparkContext.defaultParallelism),
         "spark.sql.adaptive.enabled": "false",
     }
     old = {key: spark.conf.get(key) for key in settings}
@@ -136,7 +136,7 @@ def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:
 
 def push_supersteps(
     state: DataFrame,
-    step: Callable[[DataFrame, Column], DataFrame],
+    rule: Callable[[Column], Callable[[DataFrame], DataFrame]],
     cost: CostStats,
     *,
     threshold: Column,
@@ -152,8 +152,9 @@ def push_supersteps(
     LocalPush) with its residue ``r``; ``threshold`` and ``touches`` (edge
     touches one push of that unit costs) are columns over it. Each
     superstep simultaneously pushes every candidate ``r ≥ threshold``:
-    ``step(state, push_cond)`` returns the next state, with the rows
-    matching ``push_cond`` pushed on their pre-superstep residue. The
+    ``rule(push_cond)`` builds, once per query and push condition, the step
+    that maps a state to the next one, with the rows matching ``push_cond``
+    pushed on their pre-superstep residue. The
     strict ``r > 0`` guard keeps zero residues from ever being candidates,
     even where a threshold underflows to 0; pushing zero mass is a no-op.
 
@@ -184,6 +185,8 @@ def push_supersteps(
         df = state_checkpoint(df.observe(obs, *counts))
         return df, obs.get
 
+    cand_step = rule(is_cand)
+    scan_step = rule(nonzero) if scan_frac is not None else None
     state, agg = counted_checkpoint(state)
     cost.start()
     for _ in range(max_supersteps):
@@ -194,6 +197,6 @@ def push_supersteps(
             pushes=agg["n_nz"] if scan else agg["n_cand"],
             edge_touches=agg["nz_touches"] if scan else agg["cand_touches"],
         )
-        state, agg = counted_checkpoint(step(state, nonzero if scan else is_cand))
+        state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
     cost.stop()
     return state, not agg["n_cand"]

@@ -111,7 +111,9 @@ class WeightedGraph:
         (the paper's motif weighting can produce φ(e)=0); both directions
         of the others are stored. ``n`` defaults to the largest id kept
         plus one. Raises ``ValueError`` for a NaN, infinite or negative
-        weight, a self-loop, or an id outside ``[0, n)``.
+        weight, a self-loop, a pair given twice (in either order), an id
+        outside ``[0, n)``, or, when ``n`` is not given, no edge of positive
+        weight.
         """
         w = pdf["weight"].to_numpy(np.float64)
         if not np.isfinite(w).all() or (w < 0).any():
@@ -123,15 +125,20 @@ class WeightedGraph:
         if (u == v).any():
             raise ValueError("the edge list has a self-loop")
         if n is None:
+            if not u.size:
+                raise ValueError("the edge list has no edge of positive weight")
             n = int(max(u.max(), v.max())) + 1
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise ValueError(f"node ids must lie in [0, {n})")
         src, dst = np.concatenate([u, v]), np.concatenate([v, u])
         order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        dup = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+        if dup.size:
+            a, b = src[dup[0]], dst[dup[0]]
+            raise ValueError(f"the edge list has the pair ({a}, {b}) twice")
         indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-        csr = CSR(
-            n=n, indptr=indptr, indices=dst[order], weights=np.concatenate([w, w])[order]
-        )
+        csr = CSR(n=n, indptr=indptr, indices=dst, weights=np.concatenate([w, w])[order])
         return WeightedGraph(spark, csr)
 
     # ------------------------------------------------------------ Spark views

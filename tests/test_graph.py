@@ -54,16 +54,42 @@ class TestConstruction:
             ((1, 1, 1.0), None),
             ((1, 5, 1.0), 3),
             ((-1, 2, 1.0), None),
+            ((1, 0, 3.0), None),
+            ((0, 1, 1.0), None),
+            ((2, 1, 2.0), 3),
         ],
-        ids=["nan", "inf", "negative_weight", "self_loop", "id_ge_n", "negative_id"],
+        ids=[
+            "nan",
+            "inf",
+            "negative_weight",
+            "self_loop",
+            "id_ge_n",
+            "negative_id",
+            "reversed_pair",
+            "repeated_pair",
+            "reversed_pair_n",
+        ],
     )
     def test_rejects_malformed_edge_list(self, spark, bad, n):
         """The one constructor checks its input: a weight that is not a
-        finite non-negative number, a self-loop or an id outside [0, n)
-        raises instead of building a graph that answers wrongly."""
+        finite non-negative number, a self-loop, an id outside [0, n) or a
+        pair given twice (parallel edges would count it twice in degrees,
+        thresholds and edge touches) raises instead of building a graph
+        that answers wrongly."""
         pdf = pd.DataFrame([(0, 1, 1.0), (1, 2, 2.0), bad], columns=["src", "dst", "weight"])
         with pytest.raises(ValueError):
             WeightedGraph.from_undirected_pandas(spark, pdf, n=n)
+
+    def test_rejects_duplicate_naming_the_pair(self, spark):
+        pdf = pd.DataFrame({"src": [2, 0, 1], "dst": [3, 1, 0], "weight": [1.0, 1.0, 3.0]})
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) twice"):
+            WeightedGraph.from_undirected_pandas(spark, pdf)
+
+    def test_rejects_no_positive_edge_without_n(self, spark):
+        pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [0.0]})
+        with pytest.raises(ValueError, match="no edge of positive weight"):
+            WeightedGraph.from_undirected_pandas(spark, pdf)
+        assert WeightedGraph.from_undirected_pandas(spark, pdf, n=2).csr.nnz == 0
 
 
 class TestDerived:

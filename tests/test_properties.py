@@ -136,11 +136,11 @@ class TestCostStats:
         assert c.supersteps == 2 and c.pushes == 4 and c.edge_touches == 9
 
     def test_few_shuffle_partitions_restores(self, spark):
-        from repro.core.runtime import SHUFFLE_PARTITIONS, few_shuffle_partitions
+        from repro.core.runtime import few_shuffle_partitions
 
         keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
         before = [spark.conf.get(k) for k in keys]
         with few_shuffle_partitions(spark):
             inside = [spark.conf.get(k) for k in keys]
-            assert inside == [str(SHUFFLE_PARTITIONS), "false"]
+            assert inside == [str(spark.sparkContext.defaultParallelism), "false"]
         assert [spark.conf.get(k) for k in keys] == before

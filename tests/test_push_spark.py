@@ -8,16 +8,21 @@ the work advantage on unbalanced graphs.
 Spark supersteps are expensive, so these tests use the small helper graphs
 and moderate tolerances; the fine-grained sweeps live in benchmarks/.
 """
+import gc
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import runtime
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
 from repro.core.fora import mc_repair, monte_carlo
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
+from repro.core.runtime import state_checkpoint
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 from repro.graphs.graph import WeightedGraph
 
@@ -267,6 +272,71 @@ def test_jobs_per_query(spark, method):
         res = local_push(g, 0, alpha=ALPHA, theta=theta)
     assert res.cost.supersteps > 10
     assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS[method]
+
+
+# Two tolerances per loop on er_lognormal, far enough apart in supersteps
+# (EdgePush ℓ1: 14 and 34, LocalPush θ: 4 and 30) to read a per-superstep slope.
+LOOP_TOLS = {"edge_push": (0.5, 0.01), "local_push": (1e-2, 1e-5)}
+# py4j commands the driver sends per superstep. A superstep chains Dataset
+# calls over Columns built once per query: about 75-85 measured. Rebuilding
+# every Column each superstep, and deleting it again, costs 320-410.
+MAX_CALLS_PER_SUPERSTEP = 120
+
+
+def run_loop(g, method: str, tol: float):
+    if method == "edge_push":
+        return edge_push(g, 0, alpha=ALPHA, mode="l1", tol=tol)
+    return local_push(g, 0, alpha=ALPHA, theta=tol)
+
+
+@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
+def test_jvm_calls_per_superstep(spark, monkeypatch, method):
+    """A superstep's driver cost: JVM round trips grow with the superstep
+    count by a small fixed number, the fixed cost of a query aside."""
+    g = get_graph(spark, "er_lognormal")
+    client = spark.sparkContext._gateway._gateway_client
+    send = client.send_command
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return send(*args, **kwargs)
+
+    monkeypatch.setattr(client, "send_command", counted)
+    runs = []
+    for tol in LOOP_TOLS[method]:
+        gc.collect()  # py4j deletes collected JVM references by round trip
+        start = calls
+        steps = run_loop(g, method, tol).cost.supersteps
+        gc.collect()
+        runs.append((steps, calls - start))
+    (s1, c1), (s2, c2) = runs
+    assert s2 - s1 >= 10
+    assert (c2 - c1) / (s2 - s1) <= MAX_CALLS_PER_SUPERSTEP
+
+
+EXCHANGE = re.compile(r"\bExchange\b")
+
+
+@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
+def test_one_exchange_per_superstep(spark, monkeypatch, method):
+    """The state stays partitioned by its join key across checkpoints, so
+    a superstep shuffles only the pushed mass: one exchange, not a
+    re-shuffle of the whole state."""
+    g = get_graph(spark, "er_lognormal")
+    exchanges = []
+
+    def checkpoint(df):
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        exchanges.append(len(EXCHANGE.findall(plan)))
+        return state_checkpoint(df)
+
+    monkeypatch.setattr(runtime, "state_checkpoint", checkpoint)
+    res = run_loop(g, method, LOOP_TOLS[method][0])
+    assert res.cost.supersteps > 3
+    # the initial state's repartition, then one per superstep
+    assert exchanges == [1] * (res.cost.supersteps + 1)
 
 
 # Spark jobs of the walk phase: the walks run on the driver over the graph's
