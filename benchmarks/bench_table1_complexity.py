@@ -1,6 +1,7 @@
 """Benchmark/repro of Table 1: measured EdgePush vs LocalPush work (the
-faithful sequential schedules) against the predicted improvement factors
-(1-α)·cos²φ (ℓ1) and (1-α)/2m·Σ n_v·cos²φ_v (additive)."""
+bulk-synchronous batch schedules, 2 degree-sampled sources) against the
+predicted improvement factors (1-α)·cos²φ (ℓ1) and (1-α)/2m·Σ n_v·cos²φ_v
+(additive)."""
 from repro.analysis.experiments import table1_complexity
 from repro.graphs import datasets as ds
 from repro.graphs import generators as gen

@@ -62,7 +62,11 @@ def table2_rows(spark: SparkSession, keys=ds.ALL_KEYS) -> pd.DataFrame:
 # ------------------------------------------------- shared per-run evaluation
 def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) -> dict:
     """One result row: the identifying columns ``ids`` in the order given,
-    then the run's error, precision, clustering and cost metrics."""
+    then the run's error, precision, clustering and cost metrics. Raises
+    ``ValueError`` for a run truncated at its superstep cap, whose error no
+    bound covers."""
+    if not res.converged:
+        raise ValueError(f"run did not converge within its superstep cap: {ids}")
     csr = graph.csr
     est = res.vector(graph.n)
     best_phi, best_size = M.sweep_conductance(csr, est / csr.deg)
@@ -92,7 +96,6 @@ def additive_tradeoff(
     sources: list[int],
     rmax_grid=(1e-3, 1e-4, 1e-5),
     delta_grid=(1e-1, 1e-2, 1e-3),
-    methods=("EdgePush-Add", "MAPPR", "MC", "FORA", "SpeedPPR"),
     seed: int = 0,
 ) -> pd.DataFrame:
     """Error/precision/conductance vs work for the five §6.1 methods.
@@ -105,35 +108,21 @@ def additive_tradeoff(
     for s in sources:
         runs = []
         for rmax in rmax_grid:
-            if "EdgePush-Add" in methods:
-                runs.append((
-                    "EdgePush-Add", f"rmax={rmax:g}",
-                    edge_push(graph, s, alpha=ALPHA, mode="additive", tol=rmax),
-                ))
-            if "MAPPR" in methods:
-                runs.append((
-                    "MAPPR", f"theta={rmax:g}",
-                    local_push(graph, s, alpha=ALPHA, theta=rmax),
-                ))
+            runs += [
+                ("EdgePush-Add", f"rmax={rmax:g}",
+                 edge_push(graph, s, alpha=ALPHA, mode="additive", tol=rmax)),
+                ("MAPPR", f"theta={rmax:g}",
+                 local_push(graph, s, alpha=ALPHA, theta=rmax)),
+            ]
         for delta in delta_grid:
-            if "MC" in methods:
-                runs.append((
-                    "MC", f"delta={delta:g}",
-                    monte_carlo(graph, s, alpha=ALPHA, delta=delta, seed=seed),
-                ))
-            if "FORA" in methods:
-                runs.append((
-                    "FORA", f"delta={delta:g}",
-                    fora(graph, s, alpha=ALPHA, delta=delta, seed=seed),
-                ))
-            if "SpeedPPR" in methods:
-                runs.append((
-                    "SpeedPPR", f"delta={delta:g}",
-                    fora(
-                        graph, s, alpha=ALPHA, delta=delta,
-                        scan_frac=DEFAULT_SCAN_FRAC, seed=seed,
-                    ),
-                ))
+            param = f"delta={delta:g}"
+            runs += [
+                ("MC", param, monte_carlo(graph, s, alpha=ALPHA, delta=delta, seed=seed)),
+                ("FORA", param, fora(graph, s, alpha=ALPHA, delta=delta, seed=seed)),
+                ("SpeedPPR", param,
+                 fora(graph, s, alpha=ALPHA, delta=delta,
+                      scan_frac=DEFAULT_SCAN_FRAC, seed=seed)),
+            ]
         rows += [
             _row(graph, gts[s], res, dataset=dataset, method=m, source=s, param=p)
             for m, p, res in runs

@@ -18,15 +18,14 @@ once after the loop, and the estimate is ``π̂ = α·q``. Work accounting: each
 edge push costs O(1) — one edge touch — which is precisely the quantity
 Lemma 3 bounds.
 
-The superstep loop, with the §6.2 scan switch over the 2m edges, is
-:func:`repro.core.runtime.push_supersteps`; this module supplies the edge
-push rule.
+The superstep, with the §6.2 scan switch over the 2m edges, is
+:func:`repro.core.runtime.push_supersteps` keyed by ``src``; this module
+supplies the edge granularity: v's income ``Σ r`` over pushed in-edges
+feeds each out-edge ``⟨v,w⟩`` with ``(1-α)·inc·p``.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.runtime import (
@@ -58,52 +57,34 @@ def edge_push(
     ablation.
 
     The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
-    r, out)``. Raises ``ValueError`` for α ∉ (0,1) or a source that is not a
-    node with edges.
+    r, out)``. Raises ``ValueError`` for α ∉ (0,1), a source that is not a
+    node with edges, or ``tol`` ≤ 0 or NaN.
     """
     check_query(graph, source, alpha)
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
 
-    r, p = F.col("r"), F.col("p")
-    income = F.sum(r).alias("inc")
-    received = (1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p
-    static = [F.col(c) for c in ("src", "dst", "p", "theta")]
+    p = F.col("p")
+    income = F.sum("r").alias("inc")
 
-    def rule(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
+    def send(pushed: DataFrame) -> DataFrame:
         # the income v receives feeds v's out-edges: rename dst to src to join
-        columns = [
-            *static,
-            (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
-            (F.col("out") + F.when(push_cond, r).otherwise(0.0)).alias("out"),
-        ]
-
-        def step(edges: DataFrame) -> DataFrame:
-            inc = (
-                edges.filter(push_cond)
-                .groupBy("dst")
-                .agg(income)
-                .withColumnRenamed("dst", "src")
-            )
-            return edges.join(inc, "src", "left").select(*columns)
-
-        return step
+        return pushed.groupBy("dst").agg(income).withColumnRenamed("dst", "src")
 
     with few_shuffle_partitions(graph.spark):
-        # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges;
-        # partitioned by src, as each superstep's income join leaves it
-        edges = (
-            thresholds_df(graph, mode=mode, tol=tol)
-            .select(
-                *static,
-                F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
-                F.lit(0.0).alias("out"),
-            )
-            .repartition("src")
+        # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
+        edges = thresholds_df(graph, mode=mode, tol=tol).select(
+            "src", "dst", "p", "theta",
+            F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
+            F.lit(0.0).alias("out"),
         )
         cost = CostStats()
         edges, converged = push_supersteps(
             edges,
-            rule,
             cost,
+            key="src",
+            send=send,
+            received=(1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p,
             threshold=F.col("theta"),
             touches=F.lit(1),
             scan_size=graph.csr.nnz,

@@ -11,16 +11,15 @@ Work accounting matches the paper's: each pushed node u costs n(u) edge
 touches (the node-granular push must write *every* incident edge — the
 inefficiency EdgePush removes).
 
-The superstep loop, with the PowForPush scan switch over the n nodes (a
-scan superstep is a power-iteration pass, cost ≈ 2m), is
-:func:`repro.core.runtime.push_supersteps`; this module supplies the node
-push rule.
+The superstep, with the PowForPush scan switch over the n nodes (a scan
+superstep is a power-iteration pass, cost ≈ 2m), is
+:func:`repro.core.runtime.push_supersteps` keyed by ``node``; this module
+supplies the node granularity: a pushed u sends ``(1-α)·r(u)·p(u,v)`` to
+every neighbour v. State ``(node, deg, nbrs, r, out)``; ``π̂ = α·out``.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.runtime import (
@@ -47,52 +46,39 @@ def local_push(
 
     ``θ = ε/‖A‖₁`` gives ℓ1-error ≤ ε (Fact 1); ``θ = r_max`` gives
     normalized additive error ≤ r_max (Fact 2). The result's ``state`` is
-    the terminal per-node state ``(node, deg, nbrs, r, pi)``: FORA/SpeedPPR
-    compensate its residual with random walks. Raises ``ValueError`` for
-    α ∉ (0,1) or a source that is not a node with edges.
+    the terminal per-node state ``(node, deg, nbrs, r, out)``: FORA/SpeedPPR
+    compensate its residual with random walks. θ = 0 pushes every node with
+    residue, the Power Method. Raises ``ValueError`` for α ∉ (0,1), a source
+    that is not a node with edges, or θ < 0 or NaN.
     """
     check_query(graph, source, alpha)
+    if not theta >= 0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
 
     r = F.col("r")
     message = [F.col("dst").alias("node"), ((1.0 - alpha) * r * F.col("p")).alias("inc")]
     income = F.sum("inc").alias("inc")
-    received = F.coalesce(F.col("inc"), F.lit(0.0))
-    static = [F.col(c) for c in ("node", "deg", "nbrs")]
 
-    def rule(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
-        columns = [
-            *static,
-            (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
-            (F.col("pi") + F.when(push_cond, alpha * r).otherwise(0.0)).alias("pi"),
-        ]
-
-        def step(state: DataFrame) -> DataFrame:
-            msgs = (
-                state.filter(push_cond)
-                .join(tedges, "node")
-                .select(*message)
-                .groupBy("node")
-                .agg(income)
-            )
-            return state.join(msgs, "node", "left").select(*columns)
-
-        return step
+    def send(pushed: DataFrame) -> DataFrame:
+        return pushed.join(tedges, "node").select(*message).groupBy("node").agg(income)
 
     with few_shuffle_partitions(graph.spark):
         # materialized once per query, keyed and partitioned like the state
         tedges = state_checkpoint(
             graph.transition.selectExpr("src AS node", "dst", "p").repartition("node")
         )
-        state = (
-            graph.degrees.repartition("node")
-            .withColumn("r", F.when(F.col("node") == source, 1.0).otherwise(0.0))
-            .withColumn("pi", F.lit(0.0))
+        state = graph.degrees.select(
+            "node", "deg", "nbrs",
+            F.when(F.col("node") == source, 1.0).otherwise(0.0).alias("r"),
+            F.lit(0.0).alias("out"),
         )
         cost = CostStats()
         state, converged = push_supersteps(
             state,
-            rule,
             cost,
+            key="node",
+            send=send,
+            received=F.coalesce(F.col("inc"), F.lit(0.0)),
             threshold=F.col("deg") * F.lit(theta),
             touches=F.col("nbrs"),
             scan_size=graph.n,
@@ -100,8 +86,8 @@ def local_push(
             max_supersteps=max_supersteps,
         )
         est = (
-            state.filter(F.col("pi") > 0)
-            .select("node", F.col("pi").alias("est"))
+            state.filter(F.col("out") > 0)
+            .select("node", (F.lit(alpha) * F.col("out")).alias("est"))
             .toPandas()
         )
     return PPRResult(estimate=est, cost=cost, converged=converged, state=state)

@@ -49,11 +49,13 @@ def power_method(
     graph: WeightedGraph, source: int, *, alpha: float = 0.2, iters: int = 10
 ) -> PPRResult:
     """Distributed Power Method: ``iters`` supersteps of θ = 0 LocalPush,
-    estimate π̂ + r. Raises ``ValueError`` for α ∉ (0,1) or a source that is
-    not a node with edges."""
+    estimate π̂ + r = α·out + r. Raises ``ValueError`` for α ∉ (0,1), a
+    source that is not a node with edges, or ``iters < 0``."""
+    if not iters >= 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     res = local_push(graph, source, alpha=alpha, theta=0.0, max_supersteps=iters)
     est = (
-        res.state.select("node", (F.col("pi") + F.col("r")).alias("est"))
+        res.state.select("node", (alpha * F.col("out") + F.col("r")).alias("est"))
         .filter(F.col("est") > 0)
         .toPandas()
     )

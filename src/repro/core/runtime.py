@@ -16,8 +16,9 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   session values afterwards (the session is shared with other tests).
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
-EdgePush, LocalPush and the Power Method; each method supplies only its
-state, threshold, per-push touches and push rule. A superstep is one Spark
+EdgePush, LocalPush and the Power Method and owns the superstep's update;
+each method supplies only its granularity: state and key, what a push sends
+and a unit receives, threshold and per-push touches. A superstep is one Spark
 job: the checkpoint that materializes the new state also counts its
 candidates. Every Column a superstep uses is built once per query, before
 the loop, so a superstep only chains Dataset calls on the driver.
@@ -85,7 +86,7 @@ class PPRResult:
     run stopped at its superstep cap with candidates left, so the paper's
     bound does not hold for ``estimate``. ``state`` is the terminal state of
     a push run (EdgePush: ``(src, dst, p, theta, r, out)``; LocalPush:
-    ``(node, deg, nbrs, r, pi)``), ``None`` for other methods.
+    ``(node, deg, nbrs, r, out)``), ``None`` for other methods.
     """
 
     estimate: pd.DataFrame  # columns: node, est
@@ -136,9 +137,11 @@ def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:
 
 def push_supersteps(
     state: DataFrame,
-    rule: Callable[[Column], Callable[[DataFrame], DataFrame]],
     cost: CostStats,
     *,
+    key: str,
+    send: Callable[[DataFrame], DataFrame],
+    received: Column,
     threshold: Column,
     touches: Column,
     scan_size: int,
@@ -149,28 +152,30 @@ def push_supersteps(
     the run converged.
 
     ``state`` holds one row per push unit (an edge for EdgePush, a node for
-    LocalPush) with its residue ``r``; ``threshold`` and ``touches`` (edge
+    LocalPush) keyed by ``key``, with its residue ``r`` and ``out``, the
+    residue it has pushed so far; ``threshold`` and ``touches`` (edge
     touches one push of that unit costs) are columns over it. Each
-    superstep simultaneously pushes every candidate ``r ≥ threshold``:
-    ``rule(push_cond)`` builds, once per query and push condition, the step
-    that maps a state to the next one, with the rows matching ``push_cond``
-    pushed on their pre-superstep residue. The
-    strict ``r > 0`` guard keeps zero residues from ever being candidates,
-    even where a threshold underflows to 0; pushing zero mass is a no-op.
+    superstep simultaneously pushes every candidate ``r ≥ threshold``: its
+    pre-superstep ``r`` moves to ``out``, ``send`` maps the pushed rows to
+    the income ``(key, inc)``, and every row's ``r`` gains ``received``, a
+    column over the left-joined ``inc``. The strict ``r > 0`` guard keeps
+    zero residues from ever being candidates, even where a threshold
+    underflows to 0; pushing zero mass is a no-op.
 
     Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates
     outnumber ``scan_frac · scan_size`` units, the superstep pushes *every*
     unit with r > 0, a sequential pass over the residue array, instead of
     only the candidates; pushes and touches are booked for what is pushed.
 
-    The state is checkpointed initially and after every superstep, and the
+    The state is partitioned by ``key``, so a superstep shuffles only the
+    income, and checkpointed initially and after every superstep; the
     checkpoint's own job also computes, as observed metrics
     (``DataFrame.observe``), the next superstep's candidate count and
     touches, and the same for r > 0. So a superstep is one Spark job. The
     run stops when no candidates are left, or unconverged after
     ``max_supersteps``; ``cost`` brackets the loop.
     """
-    r = F.col("r")
+    r, out = F.col("r"), F.col("out")
     is_cand = (r >= threshold) & (r > 0)
     nonzero = r > 0
     counts = (
@@ -179,15 +184,24 @@ def push_supersteps(
         F.sum(nonzero.cast("long")).alias("n_nz"),
         F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
     )
+    kept = [F.col(c) for c in state.columns if c not in ("r", "out")]
+
+    def step(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
+        columns = [
+            *kept,
+            (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
+            (out + F.when(push_cond, r).otherwise(0.0)).alias("out"),
+        ]
+        return lambda s: s.join(send(s.filter(push_cond)), key, "left").select(*columns)
 
     def counted_checkpoint(df: DataFrame) -> tuple[DataFrame, dict]:
         obs = Observation()
         df = state_checkpoint(df.observe(obs, *counts))
         return df, obs.get
 
-    cand_step = rule(is_cand)
-    scan_step = rule(nonzero) if scan_frac is not None else None
-    state, agg = counted_checkpoint(state)
+    cand_step = step(is_cand)
+    scan_step = step(nonzero) if scan_frac is not None else None
+    state, agg = counted_checkpoint(state.repartition(key))
     cost.start()
     for _ in range(max_supersteps):
         if not agg["n_cand"]:

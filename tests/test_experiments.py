@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments as ex
+from repro.core.localpush import local_push
+from repro.core.power import ground_truth
 from repro.graphs import datasets as ds
 
 from .helpers import get_graph
@@ -23,6 +25,16 @@ class TestTable2:
     def test_paper_columns_quoted_verbatim(self, spark):
         df = ex.table2_rows(spark, keys=("TH",))
         assert df["paper_n"].iloc[0] == ds.PAPER_TABLE2["TH"]["n"]
+
+
+def test_row_refuses_truncated_run(spark):
+    """A push run stopped at its superstep cap has no error bound, so it
+    never becomes a table row."""
+    g = get_graph(spark, "er_lognormal")
+    res = local_push(g, 0, alpha=ex.ALPHA, theta=1e-5, max_supersteps=2)
+    gt = ground_truth(g.csr, 0, alpha=ex.ALPHA)
+    with pytest.raises(ValueError, match="'method': 'MAPPR'"):
+        ex._row(g, gt, res, dataset="er", method="MAPPR", source=0)
 
 
 class TestAdditiveTradeoff:

@@ -76,7 +76,7 @@ class TestBatchLocalPush:
         """reserve + residual mass sums to 1 at all times."""
         theta = 1e-2
         state = local_push(any_graph, 0, alpha=ALPHA, theta=theta).state
-        tot = state.agg(F.sum("pi"), F.sum("r")).collect()[0]
+        tot = state.agg(ALPHA * F.sum("out"), F.sum("r")).collect()[0]
         # residual r carries (1-α)-scaled in-flight mass; π̂ + remaining
         # walk mass = 1 exactly when accounting for the α-absorption of r:
         # each unit of r will eventually deposit exactly 1 unit across nodes.
@@ -244,6 +244,29 @@ def test_rejects_degenerate_query(spark, method, source, alpha):
     first = highest_job_id(spark)
     with pytest.raises(ValueError):
         method(g, source, alpha=alpha)
+    assert highest_job_id(spark) == first
+
+
+@pytest.mark.parametrize(
+    "method, kwargs",
+    [
+        (edge_push, {"tol": float("nan")}),
+        (edge_push, {"tol": 0.0}),
+        (edge_push, {"tol": -0.1}),
+        (local_push, {"theta": float("nan")}),
+        (local_push, {"theta": -1e-3}),
+        (power_method, {"iters": -3}),
+    ],
+    ids=["ep-nan", "ep-zero", "ep-negative", "lp-nan", "lp-negative", "pm-negative"],
+)
+def test_rejects_bad_tolerance(spark, method, kwargs):
+    """A tolerance that voids the paper's bound is refused before any Spark
+    job: with θ = NaN nothing is ever a candidate, so the run would report
+    convergence with no pushes."""
+    g = get_graph(spark, "er_lognormal")
+    first = highest_job_id(spark)
+    with pytest.raises(ValueError):
+        method(g, 0, alpha=ALPHA, **kwargs)
     assert highest_job_id(spark) == first
 
 
