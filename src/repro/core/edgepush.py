@@ -14,9 +14,9 @@ so the batch schedule preserves the invariant and the terminal condition
 State is one edge-level DataFrame ``(src, dst, p, theta, r, out)``: the
 residue ``r`` and ``out``, the residue pushed along the edge so far. The
 node income q of Algorithm 2 is then ``q(v) = [v=s] + Σ_u out(u,v)``, summed
-once after the loop, and the estimate is ``π̂ = α·q``. Work accounting: each
-edge push costs O(1) — one edge touch — which is precisely the quantity
-Lemma 3 bounds.
+in numpy over the terminal state the loop collects, and the estimate is
+``π̂ = α·q``. Work accounting: each edge push costs O(1) — one edge touch —
+which is precisely the quantity Lemma 3 bounds.
 
 The superstep, with the §6.2 scan switch over the 2m edges, is
 :func:`repro.core.runtime.push_supersteps` keyed by ``src``; this module
@@ -25,6 +25,7 @@ feeds each out-edge ``⟨v,w⟩`` with ``(1-α)·inc·p``.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -33,6 +34,7 @@ from repro.core.runtime import (
     PPRResult,
     check_query,
     few_shuffle_partitions,
+    positive_estimate,
     push_supersteps,
 )
 from repro.core.thresholds import thresholds_df
@@ -57,8 +59,8 @@ def edge_push(
     ablation.
 
     The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
-    r, out)``. Raises ``ValueError`` for α ∉ (0,1), a source that is not a
-    node with edges, or ``tol`` ≤ 0 or NaN.
+    r, out)`` as pandas. Raises ``ValueError`` for α ∉ (0,1), a source that
+    is not a node with edges, or ``tol`` ≤ 0 or NaN.
     """
     check_query(graph, source, alpha)
     if not tol > 0:
@@ -91,13 +93,8 @@ def edge_push(
             scan_frac=scan_frac,
             max_supersteps=max_supersteps,
         )
-        # π̂(v) = α·q(v); the source has an in-edge, as the graph is symmetric
-        q = F.sum("out") + F.when(F.col("dst") == source, 1.0).otherwise(0.0)
-        est = (
-            edges.groupBy("dst")
-            .agg((F.lit(alpha) * q).alias("est"))
-            .filter(F.col("est") > 0)
-            .withColumnRenamed("dst", "node")
-            .toPandas()
-        )
+    # π̂(v) = α·q(v), q(v) = [v=s] + Σ_u out(u,v)
+    q = np.bincount(edges["dst"], weights=edges["out"], minlength=graph.n)
+    q[source] += 1.0
+    est = positive_estimate(np.arange(graph.n), alpha * q)
     return PPRResult(estimate=est, cost=cost, converged=converged, state=edges)

@@ -5,8 +5,9 @@ All three are one estimator. Lemma 1's invariant
 of PPRs from the residual nodes, so one walk phase repairs it: launch
 ``⌈r(u)·ω⌉`` α-walks from each residual node u, each contributing
 ``r(u)/⌈r(u)·ω⌉`` to its terminal node. ω comes from FORA's Chernoff bound
-(:func:`repro.core.montecarlo.walk_count`). The methods differ only in the
-push phase before it:
+(:func:`repro.core.montecarlo.walk_count`). The phase runs on the driver,
+over the CSR and the push's collected state, with no Spark job. The methods
+differ only in the push phase before it:
 
 - plain Monte-Carlo has none: π̂ = 0, r = e_s, and ω = W walks from the
   source each contribute 1/W;
@@ -25,7 +26,6 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core.localpush import local_push
 from repro.core.montecarlo import run_walks, walk_count
@@ -41,15 +41,15 @@ def _walk_phase(
     omega: int,
     alpha: float,
     seed: int,
-    t0: float,
 ) -> PPRResult:
     """Repair ``base`` with ⌈r(u)·ω⌉ α-walks from each row ``(node, r)`` of
     ``residual``, each walk adding r(u)/⌈r(u)·ω⌉ to its terminal node.
-    ``base`` is left as it was: the walks and the wall time since ``t0``
-    (a ``time.perf_counter()`` reading) are booked on a copy of its cost.
+    ``base`` is left as it was: the walks and their wall time are booked on
+    a copy of its cost.
 
     Walks are drawn in the row order of ``residual``, sorted by node, so
     the estimate for a given ``seed`` depends only on the residual."""
+    t0 = time.perf_counter()
     cost = dataclasses.replace(base.cost)
     est = base.estimate
     if len(residual):
@@ -102,7 +102,6 @@ def monte_carlo(
         omega=_omega(graph, delta, eps_r, p_f) if n_walks is None else n_walks,
         alpha=alpha,
         seed=seed,
-        t0=time.perf_counter(),
     )
 
 
@@ -115,18 +114,9 @@ def mc_repair(
     seed: int,
 ) -> PPRResult:
     """The walk phase after a LocalPush: repair ``push_res`` with walks from
-    the nodes with terminal residue r(u) > 0 in its ``state``. The wall
-    time booked includes collecting those residues."""
-    t0 = time.perf_counter()
-    residual = (
-        push_res.state.filter(F.col("r") > 0)
-        .select("node", "r")
-        .toPandas()
-        .sort_values("node", ignore_index=True)
-    )
-    return _walk_phase(
-        graph, push_res, residual, omega=omega, alpha=alpha, seed=seed, t0=t0
-    )
+    the nodes with terminal residue r(u) > 0 in its ``state``."""
+    residual = push_res.state.query("r > 0").sort_values("node", ignore_index=True)
+    return _walk_phase(graph, push_res, residual, omega=omega, alpha=alpha, seed=seed)
 
 
 def balanced_theta(graph: WeightedGraph, *, alpha: float, omega: int) -> float:

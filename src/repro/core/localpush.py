@@ -15,7 +15,8 @@ The superstep, with the PowForPush scan switch over the n nodes (a scan
 superstep is a power-iteration pass, cost ≈ 2m), is
 :func:`repro.core.runtime.push_supersteps` keyed by ``node``; this module
 supplies the node granularity: a pushed u sends ``(1-α)·r(u)·p(u,v)`` to
-every neighbour v. State ``(node, deg, nbrs, r, out)``; ``π̂ = α·out``.
+every neighbour v. State ``(node, deg, nbrs, r, out)``; ``π̂ = α·out``,
+computed in numpy over the terminal state the loop collects.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from repro.core.runtime import (
     PPRResult,
     check_query,
     few_shuffle_partitions,
+    positive_estimate,
     push_supersteps,
     state_checkpoint,
 )
@@ -46,10 +48,10 @@ def local_push(
 
     ``θ = ε/‖A‖₁`` gives ℓ1-error ≤ ε (Fact 1); ``θ = r_max`` gives
     normalized additive error ≤ r_max (Fact 2). The result's ``state`` is
-    the terminal per-node state ``(node, deg, nbrs, r, out)``: FORA/SpeedPPR
-    compensate its residual with random walks. θ = 0 pushes every node with
-    residue, the Power Method. Raises ``ValueError`` for α ∉ (0,1), a source
-    that is not a node with edges, or θ < 0 or NaN.
+    the terminal per-node state ``(node, deg, nbrs, r, out)`` as pandas:
+    FORA/SpeedPPR compensate its residual with random walks. θ = 0 pushes
+    every node with residue, the Power Method. Raises ``ValueError`` for
+    α ∉ (0,1), a source that is not a node with edges, or θ < 0 or NaN.
     """
     check_query(graph, source, alpha)
     if not theta >= 0:
@@ -85,9 +87,5 @@ def local_push(
             scan_frac=scan_frac,
             max_supersteps=max_supersteps,
         )
-        est = (
-            state.filter(F.col("out") > 0)
-            .select("node", (F.lit(alpha) * F.col("out")).alias("est"))
-            .toPandas()
-        )
+    est = positive_estimate(state["node"], alpha * state["out"])
     return PPRResult(estimate=est, cost=cost, converged=converged, state=state)

@@ -12,15 +12,15 @@ The paper computes ground truths by running Power Method
   π̂_L = α·Σ_{i<L}((1-α)P)^i·e_s and r_L = ((1-α)P)^L·e_s, so
   π̂_L + r_L = π^{(L)}, the L-th iterate above. Each iteration is booked as
   one Θ(m) pass, 2m pushes and 2m edge touches (the inefficiency the paper
-  contrasts local methods against), whatever the residue's support.
+  contrasts local methods against), whatever the residue's support. The
+  iterate π̂_L + r_L is numpy over the terminal state the loop collects.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import functions as F
 
 from repro.core.localpush import local_push
-from repro.core.runtime import CostStats, PPRResult
+from repro.core.runtime import CostStats, PPRResult, positive_estimate
 from repro.graphs.graph import CSR, WeightedGraph
 
 
@@ -54,11 +54,8 @@ def power_method(
     if not iters >= 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     res = local_push(graph, source, alpha=alpha, theta=0.0, max_supersteps=iters)
-    est = (
-        res.state.select("node", (alpha * F.col("out") + F.col("r")).alias("est"))
-        .filter(F.col("est") > 0)
-        .toPandas()
-    )
+    state = res.state
+    est = positive_estimate(state["node"], alpha * state["out"] + state["r"])
     two_m = graph.csr.nnz
     cost = CostStats(
         supersteps=iters,

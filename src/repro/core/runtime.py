@@ -21,7 +21,8 @@ each method supplies only its granularity: state and key, what a push sends
 and a unit receives, threshold and per-push touches. A superstep is one Spark
 job: the checkpoint that materializes the new state also counts its
 candidates. Every Column a superstep uses is built once per query, before
-the loop, so a superstep only chains Dataset calls on the driver.
+the loop, so a superstep only chains Dataset calls on the driver. One
+collect of the terminal state ends the loop; what follows it is numpy.
 
 :class:`PPRResult` is what every SSPPR method returns, and
 :class:`CostStats` is the machine-independent work metric inside it: the
@@ -37,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
+from numpy.typing import ArrayLike
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -85,14 +87,14 @@ class PPRResult:
     quantity the paper's Table 1 bounds. ``converged`` is False when a push
     run stopped at its superstep cap with candidates left, so the paper's
     bound does not hold for ``estimate``. ``state`` is the terminal state of
-    a push run (EdgePush: ``(src, dst, p, theta, r, out)``; LocalPush:
-    ``(node, deg, nbrs, r, out)``), ``None`` for other methods.
+    a push run as pandas (EdgePush: ``(src, dst, p, theta, r, out)``;
+    LocalPush: ``(node, deg, nbrs, r, out)``), ``None`` for other methods.
     """
 
     estimate: pd.DataFrame  # columns: node, est
     cost: CostStats
     converged: bool = True
-    state: DataFrame | None = None
+    state: pd.DataFrame | None = None
 
     def vector(self, n: int) -> np.ndarray:
         v = np.zeros(n)
@@ -124,11 +126,19 @@ def state_checkpoint(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
+def positive_estimate(node: ArrayLike, est: ArrayLike) -> pd.DataFrame:
+    """The estimate frame ``(node, est)`` of the nodes with ``est > 0``."""
+    node, est = np.asarray(node, np.int64), np.asarray(est)
+    return pd.DataFrame({"node": node[est > 0], "est": est[est > 0]})
+
+
 def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:
-    """Reject α ∉ (0,1), a source outside [0, n) and a source with no edges,
-    from the graph's CSR and without a Spark job."""
+    """Reject α ∉ (0,1), a source that is not an integer in [0, n) and a
+    source with no edges, from the graph's CSR and without a Spark job."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not isinstance(source, (int, np.integer)) or isinstance(source, bool):
+        raise ValueError(f"source must be an integer node id, got {source!r}")
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} is not a node id in [0, {graph.n})")
     if graph.csr.deg[source] == 0:
@@ -147,9 +157,9 @@ def push_supersteps(
     scan_size: int,
     scan_frac: float | None,
     max_supersteps: int,
-) -> tuple[DataFrame, bool]:
-    """Run a batch push to termination; return the final state and whether
-    the run converged.
+) -> tuple[pd.DataFrame, bool]:
+    """Run a batch push to termination; return the final state, collected
+    to the driver as pandas, and whether the run converged.
 
     ``state`` holds one row per push unit (an edge for EdgePush, a node for
     LocalPush) keyed by ``key``, with its residue ``r`` and ``out``, the
@@ -173,7 +183,8 @@ def push_supersteps(
     (``DataFrame.observe``), the next superstep's candidate count and
     touches, and the same for r > 0. So a superstep is one Spark job. The
     run stops when no candidates are left, or unconverged after
-    ``max_supersteps``; ``cost`` brackets the loop.
+    ``max_supersteps``; ``cost`` brackets the loop, and one job after it
+    collects the terminal state.
     """
     r, out = F.col("r"), F.col("out")
     is_cand = (r >= threshold) & (r > 0)
@@ -213,4 +224,4 @@ def push_supersteps(
         )
         state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
     cost.stop()
-    return state, not agg["n_cand"]
+    return state.toPandas(), not agg["n_cand"]

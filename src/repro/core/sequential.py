@@ -52,7 +52,10 @@ def sequential_local_push(
 
     Pushes node ``u`` while ``r(u) ≥ d(u)·θ``; each push touches all n(u)
     incident edges — the inefficiency EdgePush removes on unbalanced graphs.
+    Raises ``ValueError`` for θ ≤ 0 or NaN, which push zero mass until the cap.
     """
+    if not theta > 0:
+        raise ValueError(f"theta must be > 0, got {theta}")
     r = np.zeros(csr.n)
     pi = np.zeros(csr.n)
     r[source] = 1.0
@@ -93,12 +96,13 @@ def sequential_edge_push(
     ``k_u(v) = (Q_uv + θ(u,v)) / A_uv`` (Eq. 8); a global list of nodes with
     ``K_u = -(1-α)q(u)/d(u) + Q(u).top ≤ 0`` (Eq. 9). An edge ⟨u,v⟩ is a
     candidate iff its residue ``R_uv = (1-α)q(u)A_uv/d(u) - Q_uv ≥ θ(u,v)``
-    (Observation 1). ``θ_edge`` is indexed like the CSR's directed edges.
+    (Observation 1). ``θ_edge`` is indexed like the CSR's directed edges;
+    raises ``ValueError`` unless it has one θ > 0 per directed edge.
     """
     deg, indptr, indices, w = csr.deg, csr.indptr, csr.indices, csr.weights
     theta_edge = np.asarray(theta_edge, dtype=np.float64)
-    assert theta_edge.shape == (csr.nnz,)
-    assert np.all(theta_edge > 0), "per-edge thresholds must be positive"
+    if theta_edge.shape != (csr.nnz,) or not np.all(theta_edge > 0):
+        raise ValueError(f"theta_edge needs one value > 0 per directed edge ({csr.nnz})")
 
     q = np.zeros(csr.n)  # node income
     Q = np.zeros(csr.nnz)  # edge expense, per directed edge

@@ -14,12 +14,12 @@ import re
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core import runtime
 from repro.core import thresholds as th
 from repro.core.edgepush import edge_push
-from repro.core.fora import mc_repair, monte_carlo
+from repro.core.fora import fora, mc_repair, monte_carlo
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
 from repro.core.runtime import state_checkpoint
@@ -59,7 +59,7 @@ class TestBatchLocalPush:
     def test_terminal_residues_below_threshold(self, any_graph):
         theta = 1e-3
         state = local_push(any_graph, 0, alpha=ALPHA, theta=theta).state
-        bad = state.filter(F.col("r") >= F.col("deg") * theta).count()
+        bad = (state["r"] >= state["deg"] * theta).sum()
         assert bad == 0
 
     def test_matches_sequential_estimate_scale(self, any_graph):
@@ -76,7 +76,7 @@ class TestBatchLocalPush:
         """reserve + residual mass sums to 1 at all times."""
         theta = 1e-2
         state = local_push(any_graph, 0, alpha=ALPHA, theta=theta).state
-        tot = state.agg(ALPHA * F.sum("out"), F.sum("r")).collect()[0]
+        tot = ALPHA * state["out"].sum(), state["r"].sum()
         # residual r carries (1-α)-scaled in-flight mass; π̂ + remaining
         # walk mass = 1 exactly when accounting for the α-absorption of r:
         # each unit of r will eventually deposit exactly 1 unit across nodes.
@@ -90,7 +90,7 @@ class TestBatchLocalPush:
         res = local_push(g, 0, alpha=ALPHA, theta=1e-5, max_supersteps=2)
         assert res.converged is False
         pprs = np.stack([ground_truth(csr, u, alpha=ALPHA) for u in range(csr.n)])
-        sp = res.state.toPandas()
+        sp = res.state
         r = np.zeros(csr.n)
         r[sp["node"].to_numpy(np.int64)] = sp["r"].to_numpy()
         assert np.allclose(res.vector(g.n) + r @ pprs, pprs[0], atol=1e-6)
@@ -134,7 +134,14 @@ class TestBatchEdgePush:
 
     def test_terminal_edge_residues_below_threshold(self, any_graph):
         edges = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1).state
-        assert edges.filter(F.col("r") >= F.col("theta")).count() == 0
+        assert (edges["r"] >= edges["theta"]).sum() == 0
+
+    def test_mass_conservation(self, any_graph):
+        """α·Σq + ΣR = 1 with q = e_s + Σ out: the income's reserve plus the
+        edge residues account for all mass (Lemma 2's invariant summed)."""
+        state = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1).state
+        total = ALPHA * (1.0 + state["out"].sum()) + state["r"].sum()
+        assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_sequential(self, any_graph):
         csr = any_graph.csr
@@ -184,7 +191,9 @@ class TestBatchEdgePush:
         res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=1e-3, max_supersteps=2)
         assert res.converged is False
         pprs = np.stack([ground_truth(csr, v, alpha=ALPHA) for v in range(csr.n)])
-        epdf = res.state.toPandas()
+        epdf = res.state
+        total = ALPHA * (1.0 + epdf["out"].sum()) + epdf["r"].sum()
+        assert total == pytest.approx(1.0, abs=1e-9)
         correction = np.zeros(csr.n)
         for _, row in epdf[epdf.r > 0].iterrows():
             correction += row.r * pprs[int(row.dst)]
@@ -232,19 +241,38 @@ def test_exact_work(spark, graph_name, run):
 @pytest.mark.parametrize("method", [edge_push, local_push, power_method, monte_carlo])
 @pytest.mark.parametrize(
     "source, alpha",
-    [(2, ALPHA), (3, ALPHA), (-1, ALPHA), (0, 0.0), (0, 1.0)],
-    ids=["isolated", "n", "negative", "alpha0", "alpha1"],
+    [
+        (2, ALPHA),
+        (3, ALPHA),
+        (-1, ALPHA),
+        (1.5, ALPHA),
+        (np.float64(1.0), ALPHA),
+        (True, ALPHA),
+        (0, 0.0),
+        (0, 1.0),
+    ],
+    ids=["isolated", "n", "negative", "float", "np-float", "bool", "alpha0", "alpha1"],
 )
 def test_rejects_degenerate_query(spark, method, source, alpha):
     """Node 2 of this 3-node graph has no edges: its PPR is not defined by
     a push or a walk, so the query is refused instead of returning an
-    empty or wrong estimate, from the graph's CSR before any Spark job."""
+    empty or wrong estimate, from the graph's CSR before any Spark job. A
+    source that is not an integer is not a node id, even when it is
+    integral (1.0) or compares equal to one (True)."""
     pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
     g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
     first = highest_job_id(spark)
     with pytest.raises(ValueError):
         method(g, source, alpha=alpha)
     assert highest_job_id(spark) == first
+
+
+def test_accepts_numpy_integer_source(spark):
+    """A numpy integer is a node id like a Python int."""
+    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
+    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    for source in (np.int64(0), np.int32(1), np.uint8(0)):
+        runtime.check_query(g, source, ALPHA)
 
 
 @pytest.mark.parametrize(
@@ -271,9 +299,9 @@ def test_rejects_bad_tolerance(spark, method, kwargs):
 
 
 # Spark jobs a query runs besides one per superstep. EdgePush: the initial
-# checkpoint and the estimate's collect (2m and the thresholds come from the
-# CSR). LocalPush: the transition-edge checkpoint, the initial checkpoint
-# and the estimate's collect.
+# checkpoint and the terminal state's collect (2m and the thresholds come from
+# the CSR). LocalPush: the transition-edge checkpoint, the initial checkpoint
+# and the terminal state's collect. The estimate is numpy over that state.
 FIXED_JOBS = {"edge_push": 2, "local_push": 3}
 
 
@@ -295,6 +323,37 @@ def test_jobs_per_query(spark, method):
         res = local_push(g, 0, alpha=ALPHA, theta=theta)
     assert res.cost.supersteps > 10
     assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS[method]
+
+
+def test_power_method_jobs(spark):
+    """The Power Method's iterate π̂ + r is numpy over LocalPush's collected
+    state: k iterations launch no job beyond those of k LocalPush
+    supersteps."""
+    g = get_graph(spark, "er_lognormal")
+    iters = 5
+    first = highest_job_id(spark)
+    power_method(g, 0, alpha=ALPHA, iters=iters)
+    assert highest_job_id(spark) - first <= iters + FIXED_JOBS["local_push"]
+
+
+@pytest.mark.parametrize(
+    "method, kwargs",
+    [
+        (edge_push, {"tol": 0.1}),
+        (local_push, {"theta": 1e-2}),
+        (power_method, {"iters": 3}),
+        (fora, {"delta": 0.1}),
+        (monte_carlo, {"n_walks": 100}),
+    ],
+    ids=["edge_push", "local_push", "power_method", "fora", "monte_carlo"],
+)
+def test_result_holds_no_spark_dataframe(spark, method, kwargs):
+    """A result is driver data only: it keeps no checkpointed Spark state
+    alive after its query."""
+    g = get_graph(spark, "star")
+    res = method(g, 0, alpha=ALPHA, **kwargs)
+    assert not any(isinstance(v, DataFrame) for v in vars(res).values())
+    assert res.state is None or isinstance(res.state, pd.DataFrame)
 
 
 # Two tolerances per loop on er_lognormal, far enough apart in supersteps
@@ -363,8 +422,8 @@ def test_one_exchange_per_superstep(spark, monkeypatch, method):
 
 
 # Spark jobs of the walk phase: the walks run on the driver over the graph's
-# CSR, and the repair after a push collects its residues.
-WALK_JOBS = {"monte_carlo": 0, "mc_repair": 1}
+# CSR, and the repair after a push reads the residues of its collected state.
+WALK_JOBS = {"monte_carlo": 0, "mc_repair": 0}
 
 
 @pytest.mark.parametrize("graph_name", ["er_lognormal", "star"])

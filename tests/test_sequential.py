@@ -140,3 +140,33 @@ class TestSequentialEdgePush:
         lp = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-7 / csr.norm_a())
         ep = sequential_edge_push(csr, 0, th.theta_l1(csr, 1e-7), alpha=ALPHA)
         assert np.abs(lp.pi - ep.pi).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "theta", [0.0, -1e-3, float("nan")], ids=["zero", "negative", "nan"]
+)
+def test_local_push_rejects_bad_theta(spark, theta):
+    """θ ≤ 0 or NaN keeps every node a candidate: the run would push zero
+    mass until its push cap and return a truncated result silently."""
+    csr = get_graph(spark, "triangle").csr
+    with pytest.raises(ValueError):
+        sequential_local_push(csr, 0, alpha=ALPHA, theta=theta, max_pushes=1000)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda t: t[:-1],
+        lambda t: np.where(np.arange(len(t)) == 0, 0.0, t),
+        lambda t: -t,
+        lambda t: np.where(np.arange(len(t)) == 0, np.nan, t),
+    ],
+    ids=["shape", "zero", "negative", "nan"],
+)
+def test_edge_push_rejects_bad_thresholds(spark, spoil):
+    """Per-edge thresholds are checked with a ``ValueError``, which, unlike
+    an ``assert``, ``python -O`` keeps."""
+    csr = get_graph(spark, "triangle").csr
+    theta = spoil(th.theta_l1(csr, 0.1))
+    with pytest.raises(ValueError):
+        sequential_edge_push(csr, 0, theta, alpha=ALPHA, max_pushes=1000)
