@@ -22,7 +22,6 @@ def test_fig_additive_tradeoffs(benchmark, spark):
             g = ds.load(spark, key)
             frames.append(
                 additive_tradeoff(
-                    spark,
                     g,
                     dataset=key,
                     sources=g.sample_sources(2, seed=0),

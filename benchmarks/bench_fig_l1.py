@@ -18,7 +18,6 @@ def test_fig_l1_tradeoffs(benchmark, spark):
             g = ds.load(spark, key)
             frames.append(
                 l1_tradeoff(
-                    spark,
                     g,
                     dataset=key,
                     sources=g.sample_sources(2, seed=0),

@@ -1,8 +1,9 @@
 """Shared CLI plumbing for the spark-submit job entrypoints.
 
 Each job is a thin wrapper over a harness function in
-``repro.analysis.experiments`` that takes a SparkSession and returns a
-DataFrame of result rows; jobs print the rows and optionally write CSV.
+``repro.analysis.experiments`` that returns a DataFrame of result rows;
+jobs build the SparkSession the graphs live in, print the rows and
+optionally write CSV.
 Run as ``spark-submit jobs/<name>.py [...]`` or plain ``python``.
 """
 from __future__ import annotations

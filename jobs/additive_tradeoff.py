@@ -30,7 +30,6 @@ def main(argv=None) -> None:
         g = ds.load(spark, key)
         frames.append(
             additive_tradeoff(
-                spark,
                 g,
                 dataset=key,
                 sources=g.sample_sources(args.sources, seed=args.seed),

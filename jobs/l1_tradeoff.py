@@ -29,7 +29,6 @@ def main(argv=None) -> None:
         g = ds.load(spark, key)
         frames.append(
             l1_tradeoff(
-                spark,
                 g,
                 dataset=key,
                 sources=g.sample_sources(args.sources, seed=args.seed),

@@ -1,5 +1,7 @@
-"""Job: reproduce Table 1 — measured EdgePush/LocalPush work ratios vs the
-predicted improvement factors (1-α)cos²φ and (1-α)/2m·Σn_v·cos²φ_v.
+"""Job: reproduce Table 1 — measured LocalPush and EdgePush work against
+their per-source cost bounds (Lemmas 11 and 3), and the measured
+EdgePush/LocalPush work ratios vs the predicted improvement factors
+(1-α)cos²φ and (1-α)/2m·Σn_v·cos²φ_v.
 
 Usage: spark-submit jobs/table1_complexity.py [--datasets TH,TA] [--out f.csv]
 """
@@ -9,10 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import base_parser, emit, make_spark
 
-from repro.analysis.experiments import table1_complexity
-from repro.graphs import datasets as ds
-from repro.graphs import generators as gen
-from repro.graphs.graph import WeightedGraph
+from repro.analysis.experiments import table1_complexity, table1_graphs
 
 
 def main(argv=None) -> None:
@@ -24,19 +23,11 @@ def main(argv=None) -> None:
     p.add_argument("--impl", choices=("batch", "sequential"), default="batch")
     args = p.parse_args(argv)
     spark = make_spark("table1_complexity")
-    graphs = {
-        "star(fig1,n=1000)": WeightedGraph.from_undirected_pandas(
-            spark, gen.star_bad_case(1000)
-        ),
-        "complete_unbalanced(n=128)": WeightedGraph.from_undirected_pandas(
-            spark, gen.complete_unbalanced(128)
-        ),
-    }
-    for key in args.datasets.split(","):
-        graphs[f"{key}-lite"] = ds.load(spark, key)
+    graphs = table1_graphs(
+        spark, {f"{key}-lite": key for key in args.datasets.split(",")}
+    )
     emit(
         table1_complexity(
-            spark,
             graphs,
             eps=args.eps,
             rmax=args.rmax,

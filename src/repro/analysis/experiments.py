@@ -28,6 +28,7 @@ from repro.core.power import ground_truth, power_method
 from repro.core.runtime import DEFAULT_SCAN_FRAC
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 from repro.graphs import datasets as ds
+from repro.graphs import generators as gen
 from repro.graphs.graph import WeightedGraph
 
 ALPHA = 0.2  # the paper's teleport probability in all experiments
@@ -60,13 +61,18 @@ def table2_rows(spark: SparkSession, keys=ds.ALL_KEYS) -> pd.DataFrame:
 
 
 # ------------------------------------------------- shared per-run evaluation
+def _refuse_truncated(res, ids: dict) -> None:
+    """Raise ``ValueError`` for a run stopped at its superstep or push cap,
+    whose error and work no bound covers."""
+    if not res.converged:
+        raise ValueError(f"run did not converge within its cap: {ids}")
+
+
 def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) -> dict:
     """One result row: the identifying columns ``ids`` in the order given,
     then the run's error, precision, clustering and cost metrics. Raises
-    ``ValueError`` for a run truncated at its superstep cap, whose error no
-    bound covers."""
-    if not res.converged:
-        raise ValueError(f"run did not converge within its superstep cap: {ids}")
+    ``ValueError`` for a truncated run."""
+    _refuse_truncated(res, ids)
     csr = graph.csr
     est = res.vector(graph.n)
     best_phi, best_size = M.sweep_conductance(csr, est / csr.deg)
@@ -89,7 +95,6 @@ def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) ->
 
 # ----------------------------------------- Figs 4/7, 5/8, 6/9 (additive regime)
 def additive_tradeoff(
-    spark: SparkSession,
     graph: WeightedGraph,
     *,
     dataset: str,
@@ -132,7 +137,6 @@ def additive_tradeoff(
 
 # -------------------------------------------- Figs 10/13, 14/15 (ℓ1 regime)
 def l1_tradeoff(
-    spark: SparkSession,
     graph: WeightedGraph,
     *,
     dataset: str,
@@ -242,8 +246,21 @@ def unbalance_sweep(
 
 
 # ------------------------------------------------------ Table 1 (complexity)
+def table1_graphs(spark: SparkSession, lites: dict[str, str]) -> dict[str, WeightedGraph]:
+    """The Table-1 graph set: the Figure-1 star (n=1000) and the unbalanced
+    complete graph (n=128), then the dataset lites given as ``{label: key}``."""
+    graphs = {
+        "star(fig1,n=1000)": WeightedGraph.from_undirected_pandas(
+            spark, gen.star_bad_case(1000)
+        ),
+        "complete_unbalanced(n=128)": WeightedGraph.from_undirected_pandas(
+            spark, gen.complete_unbalanced(128)
+        ),
+    }
+    return graphs | {label: ds.load(spark, key) for label, key in lites.items()}
+
+
 def table1_complexity(
-    spark: SparkSession,
     graphs: dict[str, WeightedGraph],
     *,
     eps: float = 1e-3,
@@ -252,73 +269,71 @@ def table1_complexity(
     seed: int = 0,
     impl: str = "batch",
 ) -> pd.DataFrame:
-    """Measured op counts vs the Table-1 predictions.
+    """Measured op counts vs the Table-1 bounds and predictions.
 
-    For each graph: run LocalPush and EdgePush over degree-sampled
-    sources, average the edge touches, and compare the measured
-    EdgePush/LocalPush ratio with the predicted improvement factors
-    (1-α)·cos²φ (ℓ1) and (1-α)/2m·Σn_v·cos²φ_v (additive).
+    For each graph and regime (ℓ1 ε, additive r_max): run LocalPush and
+    EdgePush over degree-sampled sources and report, each as a mean over
+    the sources, the edge touches (``*_work_*``) next to the per-source
+    bounds ``*_bound_*``: Lemma 11 for LocalPush, Lemma 3 for EdgePush, at
+    the exact π_s. The measured EdgePush/LocalPush ratio sits next to the
+    predicted improvement factor (1-α)·cos²φ (ℓ1) or (1-α)/2m·Σn_v·cos²φ_v
+    (additive). LocalPush runs with θ = ε/‖A‖₁ or r_max, EdgePush with the
+    Theorem-2 or Theorem-3 thresholds. Raises ``ValueError`` for a run
+    stopped at its cap.
 
     ``impl`` picks the schedule being measured. ``"batch"`` (default) uses
     the bulk-synchronous Spark implementations, where both algorithms
     amortize residues identically per superstep — the apples-to-apples
     measurement of the node- vs edge-granularity difference the theory
     bounds. ``"sequential"`` uses the faithful one-push-at-a-time
-    references; note its FIFO edge scheduler splits mass into many small
-    pushes on *balanced* graphs, so its measured EdgePush counts can
-    approach the worst-case bound while LocalPush's stay far below theirs
-    — an instructive scheduling artifact, not a violation of Table 1
-    (which orders the bounds).
+    references; their FIFO edge scheduler splits mass into many small
+    pushes on *balanced* graphs, so the measured EdgePush/LocalPush ratio
+    can exceed 1 there while each run stays within its own bound.
     """
+    if impl not in ("batch", "sequential"):
+        raise ValueError(f"unknown impl: {impl!r}")
     rows = []
     for name, g in graphs.items():
         csr = g.csr
+        # regime -> (EdgePush mode, tol, LocalPush θ, EdgePush θ per edge, predicted ratio)
+        regimes = {
+            "l1": ("l1", eps, eps / csr.norm_a(), th.theta_l1(csr, eps),
+                   U.l1_improvement(csr, alpha=ALPHA)),
+            "add": ("additive", rmax, rmax, th.theta_additive(csr, rmax),
+                    U.additive_improvement(csr, alpha=ALPHA)),
+        }
+        work = {r: np.zeros(2, dtype=np.int64) for r in regimes}  # (LP, EP) sums
+        bound = {r: np.zeros(2) for r in regimes}
         srcs = g.sample_sources(n_sources, seed=seed)
-        t_l1 = th.theta_l1(csr, eps)
-        t_add = th.theta_additive(csr, rmax)
-        lp_l1 = ep_l1 = lp_add = ep_add = 0
         for s in srcs:
-            if impl == "sequential":
-                lp_l1 += sequential_local_push(
-                    csr, s, alpha=ALPHA, theta=eps / csr.norm_a()
-                ).cost.edge_touches
-                ep_l1 += sequential_edge_push(
-                    csr, s, t_l1, alpha=ALPHA
-                ).cost.edge_touches
-                lp_add += sequential_local_push(
-                    csr, s, alpha=ALPHA, theta=rmax
-                ).cost.edge_touches
-                ep_add += sequential_edge_push(
-                    csr, s, t_add, alpha=ALPHA
-                ).cost.edge_touches
-            else:
-                lp_l1 += local_push(
-                    g, s, alpha=ALPHA, theta=eps / csr.norm_a()
-                ).cost.edge_touches
-                ep_l1 += edge_push(
-                    g, s, alpha=ALPHA, mode="l1", tol=eps
-                ).cost.edge_touches
-                lp_add += local_push(g, s, alpha=ALPHA, theta=rmax).cost.edge_touches
-                ep_add += edge_push(
-                    g, s, alpha=ALPHA, mode="additive", tol=rmax
-                ).cost.edge_touches
+            gt = ground_truth(csr, s, alpha=ALPHA)
+            for r, (mode, tol, lp_theta, ep_theta, _) in regimes.items():
+                if impl == "sequential":
+                    lp = sequential_local_push(csr, s, alpha=ALPHA, theta=lp_theta)
+                    ep = sequential_edge_push(csr, s, ep_theta, alpha=ALPHA)
+                else:
+                    lp = local_push(g, s, alpha=ALPHA, theta=lp_theta)
+                    ep = edge_push(g, s, alpha=ALPHA, mode=mode, tol=tol)
+                for method, res in (("LocalPush", lp), ("EdgePush", ep)):
+                    _refuse_truncated(res, {"graph": name, "method": method,
+                                            "source": s, "regime": r})
+                work[r] += (lp.cost.edge_touches, ep.cost.edge_touches)
+                bound[r] += (
+                    th.localpush_source_cost(csr, gt, alpha=ALPHA, theta=lp_theta),
+                    th.edgepush_source_cost(csr, gt, ep_theta, alpha=ALPHA),
+                )
         k = len(srcs)
-        rows.append(
-            {
-                "graph": name,
-                "n": csr.n,
-                "2m": csr.nnz,
-                "cos2_phi": round(U.cos2_phi(csr), 4),
-                "lp_work_l1": lp_l1 // k,
-                "ep_work_l1": ep_l1 // k,
-                "measured_ratio_l1": round(ep_l1 / max(lp_l1, 1), 4),
-                "predicted_ratio_l1": round(U.l1_improvement(csr, alpha=ALPHA), 4),
-                "lp_work_add": lp_add // k,
-                "ep_work_add": ep_add // k,
-                "measured_ratio_add": round(ep_add / max(lp_add, 1), 4),
-                "predicted_ratio_add": round(
-                    U.additive_improvement(csr, alpha=ALPHA), 4
-                ),
+        row = {"graph": name, "n": csr.n, "2m": csr.nnz,
+               "cos2_phi": round(U.cos2_phi(csr), 4)}
+        for r, (*_, predicted) in regimes.items():
+            (lp_w, ep_w), (lp_b, ep_b) = work[r], bound[r] / k
+            row |= {
+                f"lp_work_{r}": lp_w // k,
+                f"ep_work_{r}": ep_w // k,
+                f"lp_bound_{r}": round(lp_b, 1),
+                f"ep_bound_{r}": round(ep_b, 1),
+                f"measured_ratio_{r}": round(ep_w / max(lp_w, 1), 4),
+                f"predicted_ratio_{r}": round(predicted, 4),
             }
-        )
+        rows.append(row)
     return pd.DataFrame(rows)

@@ -1,4 +1,4 @@
-"""Unbalancedness characterization (§5.3–5.4): cos²φ, cos²φ_v, (a,b), γ.
+"""Unbalancedness characterization (§5.3): cos²φ and cos²φ_v.
 
 These quantities predict EdgePush's advantage over LocalPush:
 
@@ -6,8 +6,6 @@ These quantities predict EdgePush's advantage over LocalPush:
   vector; the ℓ1-regime improvement factor is (1-α)·cos²φ (Lemma 6).
 - ``cos²φ_v`` — per-node analogue over v's incident edges; the additive
   regime factor is (1-α)/2m · Σ_v n(v)·cos²φ_v (Lemma 7).
-- ``(a,b)-unbalancedness`` (Def. §5.4) and γ = (√(ab)+√((1-a)(1-b)))² —
-  the coarser bound of Lemmas 9/10.
 """
 from __future__ import annotations
 
@@ -46,21 +44,3 @@ def additive_improvement(csr: CSR, *, alpha: float) -> float:
     """Predicted cost ratio, additive regime: (1-α)/2m · Σ n(v)cos²φ_v."""
     return (1.0 - alpha) * additive_unbalance_factor(csr)
 
-
-def gamma(a: float, b: float) -> float:
-    """γ = (√(ab) + √((1-a)(1-b)))² — Lemmas 9/10's improvement bound."""
-    return (np.sqrt(a * b) + np.sqrt((1 - a) * (1 - b))) ** 2
-
-
-def node_ab(csr: CSR, a: float) -> np.ndarray:
-    """Per-node b(v): the weight fraction carried by the top ⌈a·n(v)⌉
-    heaviest edges — i.e. every node v is (a, b(v))-unbalanced."""
-    out = np.zeros(csr.n)
-    for v in range(csr.n):
-        lo, hi = csr.indptr[v], csr.indptr[v + 1]
-        if hi == lo:
-            continue
-        w = np.sort(csr.weights[lo:hi])[::-1]
-        k = max(1, int(np.ceil(a * (hi - lo))))
-        out[v] = w[:k].sum() / w.sum()
-    return out

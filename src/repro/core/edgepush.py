@@ -55,8 +55,7 @@ def edge_push(
 
     ``mode``/``tol`` pick the per-edge thresholds: ``("l1", ε)`` uses
     Theorem 2 (ℓ1-error ≤ ε), ``("additive", r_max)`` uses Theorem 3
-    (normalized additive error ≤ r_max), ``("uniform", θ)`` is the untuned
-    ablation.
+    (normalized additive error ≤ r_max).
 
     The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
     r, out)`` as pandas. Raises ``ValueError`` for α ∉ (0,1), a source that

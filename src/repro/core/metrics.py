@@ -57,12 +57,10 @@ def conductance_of_set(csr: CSR, members: np.ndarray) -> float:
     return cut / denom if denom > 0 else np.inf
 
 
-def sweep_conductance(
-    csr: CSR, score: np.ndarray, *, return_curve: bool = False
-):
+def sweep_conductance(csr: CSR, score: np.ndarray) -> tuple[float, int]:
     """The §2 sweep: order nodes by ``score`` (callers pass π̂(u)/d(u))
     descending over its support, and return the minimum conductance over
-    all prefixes S_i. Incremental: adding v changes
+    all prefixes S_i with that prefix's size. Incremental: adding v changes
     cut += d(v) − 2·w(v→S), vol += d(v).
 
     Returns ``inf`` when the score has empty support (e.g. a push run whose
@@ -77,7 +75,6 @@ def sweep_conductance(
     cut = 0.0
     best = np.inf
     best_size = 0
-    curve = []
     for i, v in enumerate(order):
         lo, hi = csr.indptr[v], csr.indptr[v + 1]
         w_to_s = float(csr.weights[lo:hi][in_s[csr.indices[lo:hi]]].sum())
@@ -86,10 +83,7 @@ def sweep_conductance(
         in_s[v] = True
         denom = min(vol, total_vol - vol)
         phi = cut / denom if denom > 0 else np.inf
-        curve.append(phi)
         if phi < best:
             best, best_size = phi, i + 1
-    if return_curve:
-        return best, best_size, np.asarray(curve)
     return best, best_size
 

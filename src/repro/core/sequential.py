@@ -36,12 +36,17 @@ from repro.graphs.graph import CSR
 
 @dataclass
 class SeqPushResult:
-    """Estimate π̂ plus the terminal residuals (for invariant checks)."""
+    """Estimate π̂ plus the terminal residuals (for invariant checks).
+
+    ``converged`` is True iff the work queue was empty when the run exited;
+    a run stopped at ``max_pushes`` has no error or cost bound.
+    """
 
     pi: np.ndarray  # π̂ per node
     node_residue: np.ndarray | None  # LocalPush r(u); None for EdgePush
     edge_residue: np.ndarray | None  # EdgePush R_uv per directed edge; None for LocalPush
     cost: CostStats
+    converged: bool
 
 
 def sequential_local_push(
@@ -64,7 +69,7 @@ def sequential_local_push(
     queue: deque[int] = deque([source])
     in_queue = np.zeros(csr.n, dtype=bool)
     in_queue[source] = True
-    while queue:
+    while queue and cost.pushes < max_pushes:
         u = queue.popleft()
         in_queue[u] = False
         ru = r[u]
@@ -76,14 +81,14 @@ def sequential_local_push(
         r[nbrs] += (1.0 - alpha) * ru * w[lo:hi] / deg[u]
         r[u] = 0.0
         cost.add_superstep(pushes=1, edge_touches=hi - lo)
-        if cost.pushes >= max_pushes:
-            break
         for v in nbrs:
             if not in_queue[v] and r[v] >= deg[v] * theta:
                 in_queue[v] = True
                 queue.append(v)
     cost.stop()
-    return SeqPushResult(pi=pi, node_residue=r, edge_residue=None, cost=cost)
+    return SeqPushResult(
+        pi=pi, node_residue=r, edge_residue=None, cost=cost, converged=not queue
+    )
 
 
 def sequential_edge_push(
@@ -146,7 +151,7 @@ def sequential_edge_push(
 
     enqueue(source)
     cost = CostStats().start()
-    while work:
+    while work and cost.pushes < max_pushes:
         u = work.popleft()
         queued[u] = False
         t = top(u)
@@ -162,10 +167,10 @@ def sequential_edge_push(
         q[v] += y
         heapq.heappush(heaps[u], (key_of(e), e))  # increase-key, lazily
         cost.add_superstep(pushes=1, edge_touches=1)
-        if cost.pushes >= max_pushes:
-            break
         enqueue(u)  # u may still have eligible edges
         enqueue(v)  # v's income grew, its edges may now be eligible
     cost.stop()
     R = (1.0 - alpha) * q[src_of] * w / deg[src_of] - Q
-    return SeqPushResult(pi=alpha * q, node_residue=None, edge_residue=R, cost=cost)
+    return SeqPushResult(
+        pi=alpha * q, node_residue=None, edge_residue=R, cost=cost, converged=not work
+    )

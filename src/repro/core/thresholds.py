@@ -9,9 +9,13 @@ derives Cauchy–Schwarz-optimal settings:
 
 Both are numpy arrays over the CSR's directed edges; the sequential
 reference reads them directly and :func:`thresholds_df` attaches them to
-the edges as a Spark DataFrame for the distributed batch EdgePush. The
-predicted expected-cost bounds of Table 1 / Lemma 3
-are also computed here for the complexity-reproduction experiment.
+the edges as a Spark DataFrame for the distributed batch EdgePush.
+
+Each push algorithm has one cost bound, per source s with PPR vector π_s:
+Lemma 11 for LocalPush and Lemma 3 for EdgePush. The Table-1 experiment
+checks measured work against them. The expected cost over a degree-sampled
+source is the same bound at the stationary vector π̄ = d/‖A‖₁, the mean of
+π_s under that distribution.
 """
 from __future__ import annotations
 
@@ -49,43 +53,27 @@ def theta_additive(csr: CSR, rmax: float) -> np.ndarray:
     return np.maximum(rmax * csr.deg[v] * sq / s_per_node[v], THETA_FLOOR)
 
 
-def theta_uniform(csr: CSR, theta: float) -> np.ndarray:
-    """A flat per-edge threshold (ablation: EdgePush without Thm-2/3 tuning)."""
-    return np.full(csr.nnz, max(theta, THETA_FLOOR))
-
-
 # ------------------------------------------------------------ Spark builder
-_THETAS = {"l1": theta_l1, "additive": theta_additive, "uniform": theta_uniform}
+_THETAS = {"l1": theta_l1, "additive": theta_additive}
 
 
 def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
     """Edge DataFrame ``(src, dst, weight, p, theta)`` for batch EdgePush.
 
-    ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε), ``"additive"`` (Theorem 3,
-    ``tol`` = r_max) or ``"uniform"`` (flat θ = ``tol``).
+    ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε) or ``"additive"`` (Theorem 3,
+    ``tol`` = r_max).
     """
     if mode not in _THETAS:
         raise ValueError(f"unknown threshold mode: {mode!r}")
     return graph.edge_frame(theta=_THETAS[mode](graph.csr, tol))
 
 
-# ----------------------------------------------------- Table-1 cost predictions
-def localpush_expected_cost(csr: CSR, *, alpha: float, theta: float) -> float:
-    """Fact 1/2, Lemma 11: E[cost] = 2m / (α·θ·‖A‖₁) for a degree-sampled source."""
-    return csr.nnz / (alpha * theta * csr.norm_a())
-
-
-def edgepush_expected_cost(csr: CSR, theta_edge: np.ndarray, *, alpha: float) -> float:
-    """Lemma 3: E[cost] = Σ_Ē (1-α)·A_uv / (α·‖A‖₁·θ(u,v))."""
-    return float(
-        np.sum((1.0 - alpha) * csr.weights / (alpha * csr.norm_a() * theta_edge))
-    )
-
-
+# ------------------------------------------------------------ Table-1 cost bounds
 def localpush_source_cost(csr: CSR, pi: np.ndarray, *, alpha: float, theta: float) -> float:
-    """Lemma 11's per-source bound Σ_u n(u)·π(u)/(α·θ·d(u))."""
-    n_u = csr.out_degree()
-    return float(np.sum(n_u * pi / (alpha * theta * csr.deg)))
+    """Lemma 11's per-source bound Σ_u n(u)·π(u)/(α·θ·d(u)), summed over the
+    directed edges ⟨u,v⟩ so that a node without edges adds nothing."""
+    u = csr.src
+    return float(np.sum(pi[u] / (alpha * theta * csr.deg[u])))
 
 
 def edgepush_source_cost(

@@ -48,15 +48,9 @@ def _cos2_of_weights(w: np.ndarray) -> float:
     return float(np.sqrt(w).sum() ** 2 / (w.size * w.sum()))
 
 
-def affinity_graph(
-    n: int, *, kappa: int, sigma_n2: float, sigma2: float, seed: int = 0
-) -> pd.DataFrame:
-    """Undirected edge list of the complete affinity graph on n points,
-    with an explicit kernel width σ²."""
-    d2 = _pairwise_d2(n, kappa, sigma_n2, seed)
-    iu, ju = np.triu_indices(n, k=1)
-    weights = np.maximum(np.exp(-d2 / (2.0 * sigma2)), _W_FLOOR)
-    return pd.DataFrame({"src": iu, "dst": ju, "weight": weights})
+def _kernel(d2: np.ndarray, sigma2: float) -> np.ndarray:
+    """Gaussian-kernel weights exp(-d²/2σ²), floored at ``_W_FLOOR``."""
+    return np.maximum(np.exp(-d2 / (2.0 * sigma2)), _W_FLOOR)
 
 
 def calibrated_affinity_graph(
@@ -72,8 +66,7 @@ def calibrated_affinity_graph(
     scale = float(np.mean(d2))
 
     def cos2_at(log_mult: float) -> float:
-        w = np.maximum(np.exp(-d2 / (2.0 * scale * np.exp(log_mult))), _W_FLOOR)
-        return _cos2_of_weights(w)
+        return _cos2_of_weights(_kernel(d2, scale * np.exp(log_mult)))
 
     lo, hi = -12.0, 12.0
     for _ in range(60):
@@ -84,8 +77,7 @@ def calibrated_affinity_graph(
             hi = mid
     sigma2 = scale * np.exp(0.5 * (lo + hi))
     iu, ju = np.triu_indices(n, k=1)
-    weights = np.maximum(np.exp(-d2 / (2.0 * sigma2)), _W_FLOOR)
-    return pd.DataFrame({"src": iu, "dst": ju, "weight": weights})
+    return pd.DataFrame({"src": iu, "dst": ju, "weight": _kernel(d2, sigma2)})
 
 
 def paper_affinity_graphs(n: int, *, seed: int = 0) -> list[pd.DataFrame]:

@@ -12,6 +12,20 @@ from repro.graphs import generators as gen
 from repro.graphs.graph import WeightedGraph
 
 
+def stationary(csr) -> np.ndarray:
+    """π̄ = d/‖A‖₁, the mean PPR vector over degree-sampled sources: a
+    per-source cost bound evaluated at π̄ is the expected cost."""
+    return csr.deg / csr.norm_a()
+
+
+def assert_work_within_bounds(df: pd.DataFrame) -> None:
+    """Table 1's claim per algorithm and regime: mean measured work ≤ mean
+    per-source bound (Lemma 11 for LocalPush, Lemma 3 for EdgePush)."""
+    for algo in ("lp", "ep"):
+        for regime in ("l1", "add"):
+            assert (df[f"{algo}_work_{regime}"] <= df[f"{algo}_bound_{regime}"]).all()
+
+
 def build(spark, pdf: pd.DataFrame) -> WeightedGraph:
     return WeightedGraph.from_undirected_pandas(spark, pdf)
 

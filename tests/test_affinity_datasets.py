@@ -7,7 +7,6 @@ from repro.graphs import datasets as ds
 from repro.graphs.affinity import (
     PAPER_CONFIGS,
     PAPER_COS2,
-    affinity_graph,
     calibrated_affinity_graph,
     paper_affinity_graphs,
 )
@@ -22,25 +21,36 @@ def _c2(pdf):
 
 class TestAffinityGraph:
     def test_fully_connected(self):
-        pdf = affinity_graph(30, kappa=2, sigma_n2=10.0, sigma2=10.0, seed=1)
+        pdf = calibrated_affinity_graph(
+            30, kappa=2, sigma_n2=10.0, target_cos2=0.5, seed=1
+        )
         assert len(pdf) == 30 * 29 // 2
 
     def test_weights_in_unit_interval(self):
-        pdf = affinity_graph(40, kappa=3, sigma_n2=5.0, sigma2=2.0, seed=2)
+        # a skewed target spreads the weights over hundreds of orders of magnitude
+        pdf = calibrated_affinity_graph(
+            40, kappa=3, sigma_n2=5.0, target_cos2=0.01, seed=2
+        )
         assert (pdf.weight > 0).all()
         assert (pdf.weight <= 1.0).all()
 
     def test_deterministic(self):
-        a = affinity_graph(20, kappa=2, sigma_n2=1.0, sigma2=1.0, seed=3)
-        b = affinity_graph(20, kappa=2, sigma_n2=1.0, sigma2=1.0, seed=3)
-        assert np.allclose(a.weight, b.weight)
+        a = calibrated_affinity_graph(20, kappa=2, sigma_n2=1.0, target_cos2=0.4, seed=3)
+        b = calibrated_affinity_graph(20, kappa=2, sigma_n2=1.0, target_cos2=0.4, seed=3)
+        assert np.array_equal(a.weight, b.weight)
 
     def test_wider_kernel_more_balanced(self):
-        """cos²φ is increasing in σ² — the monotonicity the calibration
-        bisection relies on."""
-        lo = affinity_graph(100, kappa=2, sigma_n2=50.0, sigma2=5.0, seed=4)
-        hi = affinity_graph(100, kappa=2, sigma_n2=50.0, sigma2=500.0, seed=4)
+        """cos²φ is increasing in σ², the monotonicity the calibration
+        bisection relies on: on the same points, a more balanced target
+        gets a wider kernel, so every pair's weight is at least as large."""
+        lo = calibrated_affinity_graph(
+            100, kappa=2, sigma_n2=50.0, target_cos2=0.2, seed=4
+        )
+        hi = calibrated_affinity_graph(
+            100, kappa=2, sigma_n2=50.0, target_cos2=0.8, seed=4
+        )
         assert _c2(hi) > _c2(lo)
+        assert (hi.weight >= lo.weight).all()
 
     @pytest.mark.parametrize("target", [0.05, 0.3, 0.7])
     def test_calibration_hits_target(self, target):

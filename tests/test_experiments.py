@@ -4,7 +4,8 @@ Tiny configurations of the exact code paths the benchmarks/jobs run,
 checking row shapes, the paper-vs-measured columns, and the headline
 orderings the paper reports.
 """
-import numpy as np
+import functools
+
 import pytest
 
 from repro.analysis import experiments as ex
@@ -12,7 +13,7 @@ from repro.core.localpush import local_push
 from repro.core.power import ground_truth
 from repro.graphs import datasets as ds
 
-from .helpers import get_graph
+from .helpers import assert_work_within_bounds, get_graph
 
 
 class TestTable2:
@@ -42,7 +43,6 @@ class TestAdditiveTradeoff:
     def rows(self, spark):
         g = get_graph(spark, "er_lognormal")
         return ex.additive_tradeoff(
-            spark,
             g,
             dataset="er",
             sources=[0],
@@ -73,7 +73,6 @@ class TestL1Tradeoff:
     def rows(self, spark):
         g = get_graph(spark, "er_lognormal")
         return ex.l1_tradeoff(
-            spark,
             g,
             dataset="er",
             sources=[0],
@@ -112,18 +111,39 @@ class TestTable1Complexity:
     def test_ratios_sequential(self, spark):
         g = get_graph(spark, "star")
         df = ex.table1_complexity(
-            spark, {"star": g}, eps=0.05, rmax=1e-3, n_sources=2, impl="sequential"
+            {"star": g}, eps=0.05, rmax=1e-3, n_sources=2, impl="sequential"
         )
         row = df.iloc[0]
         assert row["measured_ratio_l1"] < 1
         assert 0 < row["predicted_ratio_l1"] < 1
         assert row["ep_work_l1"] <= row["lp_work_l1"]
+        assert_work_within_bounds(df)
 
     def test_ratios_batch(self, spark):
         g = get_graph(spark, "star")
         df = ex.table1_complexity(
-            spark, {"star": g}, eps=0.05, rmax=1e-3, n_sources=1, impl="batch"
+            {"star": g}, eps=0.05, rmax=1e-3, n_sources=1, impl="batch"
         )
         row = df.iloc[0]
         assert row["ep_work_l1"] <= row["lp_work_l1"]
         assert row["ep_work_add"] <= row["lp_work_add"] * 1.1
+        assert_work_within_bounds(df)
+
+    def test_unknown_impl_raises(self, spark):
+        with pytest.raises(ValueError, match="unknown impl"):
+            ex.table1_complexity({"star": get_graph(spark, "star")}, impl="seq")
+
+    @pytest.mark.parametrize(
+        "impl, name, capped",
+        [
+            ("sequential", "sequential_edge_push", {"max_pushes": 10}),
+            ("batch", "edge_push", {"max_supersteps": 2}),
+        ],
+    )
+    def test_refuses_capped_run(self, spark, monkeypatch, impl, name, capped):
+        """A run stopped at its cap has no cost bound, so it never becomes
+        a Table-1 row."""
+        monkeypatch.setattr(ex, name, functools.partial(getattr(ex, name), **capped))
+        g = get_graph(spark, "er_lognormal")
+        with pytest.raises(ValueError, match="'method': 'EdgePush'"):
+            ex.table1_complexity({"er": g}, eps=0.1, rmax=1e-4, n_sources=1, impl=impl)

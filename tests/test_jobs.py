@@ -10,6 +10,8 @@ from pathlib import Path
 import pandas as pd
 import pytest
 
+from .helpers import assert_work_within_bounds
+
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
@@ -34,14 +36,19 @@ class TestJobs:
         assert "cos2_phi" in df.columns
         assert "BC" in capsys.readouterr().out
 
-    def test_table1_complexity(self, spark, out_csv):
+    @pytest.mark.parametrize("impl", ["batch", "sequential"])
+    def test_table1_complexity(self, spark, out_csv, impl):
         _load("table1_complexity").main(
             ["--datasets", "BC", "--eps", "0.1", "--rmax", "1e-3",
-             "--sources", "1", "--out", out_csv]
+             "--sources", "1", "--impl", impl, "--out", out_csv]
         )
         df = pd.read_csv(out_csv)
-        assert len(df) == 3  # star + complete + BC
-        assert (df["measured_ratio_l1"] <= 1.05).all()
+        assert list(df["graph"]) == [
+            "star(fig1,n=1000)", "complete_unbalanced(n=128)", "BC-lite"
+        ]
+        if impl == "batch":
+            assert (df["measured_ratio_l1"] <= 1.05).all()
+        assert_work_within_bounds(df)
 
     def test_additive_tradeoff(self, spark, out_csv):
         _load("additive_tradeoff").main(

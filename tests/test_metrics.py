@@ -91,20 +91,6 @@ class TestConductance:
         members[:6] = True
         assert best == pytest.approx(M.conductance_of_set(g.csr, members))
 
-    def test_sweep_curve_matches_set_conductance(self, spark):
-        g = get_graph(spark, "er_lognormal")
-        pi = ground_truth(g.csr, 0)
-        score = pi / g.csr.deg
-        best, size, curve = M.sweep_conductance(g.csr, score, return_curve=True)
-        order = np.argsort(-score, kind="stable")
-        order = order[score[order] > 0]
-        for i in (0, len(curve) // 2, len(curve) - 1):
-            members = np.zeros(g.n, dtype=bool)
-            members[order[: i + 1]] = True
-            assert curve[i] == pytest.approx(
-                M.conductance_of_set(g.csr, members), rel=1e-9
-            )
-
     def test_symmetric_set_complement(self, spark):
         g = get_graph(spark, "er_lognormal")
         rng = np.random.default_rng(1)

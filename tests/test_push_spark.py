@@ -41,12 +41,15 @@ class TestBatchLocalPush:
     def test_l1_bound_and_underestimate(self, any_graph):
         csr = any_graph.csr
         eps = 0.1
-        res = local_push(any_graph, 0, alpha=ALPHA, theta=eps / csr.norm_a())
+        theta = eps / csr.norm_a()
+        res = local_push(any_graph, 0, alpha=ALPHA, theta=theta)
         assert res.converged is True
         gt = ground_truth(csr, 0, alpha=ALPHA)
         est = res.vector(any_graph.n)
         assert (est <= gt + 1e-9).all()
         assert np.abs(est - gt).sum() <= eps + 1e-9
+        bound = th.localpush_source_cost(csr, gt, alpha=ALPHA, theta=theta)
+        assert res.cost.edge_touches <= bound
 
     def test_additive_bound(self, any_graph):
         csr = any_graph.csr
@@ -55,6 +58,8 @@ class TestBatchLocalPush:
         gt = ground_truth(csr, 0, alpha=ALPHA)
         err = np.abs(res.vector(any_graph.n) - gt) / csr.deg
         assert err.max() <= rmax + 1e-9
+        bound = th.localpush_source_cost(csr, gt, alpha=ALPHA, theta=rmax)
+        assert res.cost.edge_touches <= bound
 
     def test_terminal_residues_below_threshold(self, any_graph):
         theta = 1e-3
@@ -123,6 +128,8 @@ class TestBatchEdgePush:
         est = res.vector(any_graph.n)
         assert (est <= gt + 1e-9).all()
         assert np.abs(est - gt).sum() <= eps + 1e-9
+        bound = th.edgepush_source_cost(csr, gt, th.theta_l1(csr, eps), alpha=ALPHA)
+        assert res.cost.edge_touches <= bound
 
     def test_additive_bound_theorem3(self, any_graph):
         csr = any_graph.csr
@@ -131,6 +138,8 @@ class TestBatchEdgePush:
         gt = ground_truth(csr, 0, alpha=ALPHA)
         err = np.abs(res.vector(any_graph.n) - gt) / csr.deg
         assert err.max() <= rmax + 1e-9
+        bound = th.edgepush_source_cost(csr, gt, th.theta_additive(csr, rmax), alpha=ALPHA)
+        assert res.cost.edge_touches <= bound
 
     def test_terminal_edge_residues_below_threshold(self, any_graph):
         edges = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1).state
@@ -165,23 +174,6 @@ class TestBatchEdgePush:
         res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan_frac=0.05)
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         assert np.abs(res.vector(g.n) - gt).sum() <= 0.05 + 1e-9
-
-    def test_uniform_mode_ablation(self, spark):
-        """Ablation: flat θ = ε/2m spends the same ℓ1 budget (Σθ = ε) but
-        its *expected* cost bound (the quantity Theorem 2 optimizes, over
-        degree-sampled sources) is worse on an unbalanced graph; both
-        settings still meet the ℓ1 guarantee."""
-        g = get_graph(spark, "star")
-        csr = g.csr
-        eps = 0.1
-        tuned_bound = th.edgepush_expected_cost(csr, th.theta_l1(csr, eps), alpha=ALPHA)
-        flat_bound = th.edgepush_expected_cost(
-            csr, th.theta_uniform(csr, eps / csr.nnz), alpha=ALPHA
-        )
-        assert tuned_bound < flat_bound
-        gt = ground_truth(csr, 0, alpha=ALPHA)
-        flat = edge_push(g, 0, alpha=ALPHA, mode="uniform", tol=eps / csr.nnz)
-        assert np.abs(flat.vector(g.n) - gt).sum() <= eps + 1e-9
 
     def test_invariant_holds_mid_run(self, spark):
         """Lemma 2 for the *batch* schedule, checked at an intermediate

@@ -71,6 +71,14 @@ class TestSequentialLocalPush:
         # bound is on edge touches; allow the +n(u) slack of the final pushes
         assert res.cost.edge_touches <= bound + csr.nnz
 
+    def test_converged_iff_queue_drained(self, spark):
+        """A run stopped at ``max_pushes`` says so; a default run finishes."""
+        csr = get_graph(spark, "er_lognormal").csr
+        assert sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-4).converged is True
+        capped = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-4, max_pushes=10)
+        assert capped.converged is False
+        assert capped.cost.pushes == 10
+
     def test_more_precise_costs_more(self, any_graph):
         csr = any_graph.csr
         loose = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-2)
@@ -123,6 +131,14 @@ class TestSequentialEdgePush:
         res = sequential_edge_push(csr, 0, theta, alpha=ALPHA)
         bound = th.edgepush_source_cost(csr, gt, theta, alpha=ALPHA)
         assert res.cost.pushes <= bound + csr.nnz
+
+    def test_converged_iff_queue_drained(self, spark):
+        csr = get_graph(spark, "er_lognormal").csr
+        theta = th.theta_l1(csr, 0.01)
+        assert sequential_edge_push(csr, 0, theta, alpha=ALPHA).converged is True
+        capped = sequential_edge_push(csr, 0, theta, alpha=ALPHA, max_pushes=10)
+        assert capped.converged is False
+        assert capped.cost.pushes == 10
 
     def test_star_graph_sublinear(self, spark):
         """On the Figure-1 bad case, EdgePush touches far fewer edges than

@@ -1,13 +1,24 @@
 """Tests for the Theorem-2/3 threshold settings and Table-1 cost bounds."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import thresholds as th
+from repro.core.power import ground_truth
+from repro.graphs.graph import WeightedGraph
 from repro.oracle import assert_equivalent
 
-from .helpers import GRAPH_BUILDERS, get_graph
+from .helpers import GRAPH_BUILDERS, get_graph, stationary
 
 ALPHA = 0.2
+
+
+def lp_expected(csr, theta):
+    return th.localpush_source_cost(csr, stationary(csr), alpha=ALPHA, theta=theta)
+
+
+def ep_expected(csr, theta_edge):
+    return th.edgepush_source_cost(csr, stationary(csr), theta_edge, alpha=ALPHA)
 
 
 @pytest.fixture(params=list(GRAPH_BUILDERS))
@@ -41,7 +52,6 @@ class TestNumpyThetas:
         csr = any_graph.csr
         assert (th.theta_l1(csr, 1e-3) > 0).all()
         assert (th.theta_additive(csr, 1e-3) > 0).all()
-        assert (th.theta_uniform(csr, 1e-3) == 1e-3).all()
 
     def test_theta_l1_is_cauchy_schwarz_optimal(self, any_graph):
         """Theorem 2's θ minimizes Cost subject to Σθ = ε: any perturbed
@@ -49,16 +59,16 @@ class TestNumpyThetas:
         csr = any_graph.csr
         eps = 0.1
         t_opt = th.theta_l1(csr, eps)
-        cost_opt = th.edgepush_expected_cost(csr, t_opt, alpha=ALPHA)
+        cost_opt = ep_expected(csr, t_opt)
         g = np.random.default_rng(0)
         for _ in range(5):
             t = t_opt * g.uniform(0.5, 2.0, size=t_opt.size)
             t *= eps / t.sum()
-            assert th.edgepush_expected_cost(csr, t, alpha=ALPHA) >= cost_opt - 1e-9
+            assert ep_expected(csr, t) >= cost_opt - 1e-9
 
 
 class TestSparkThetas:
-    @pytest.mark.parametrize("mode,tol", [("l1", 0.05), ("additive", 1e-3), ("uniform", 1e-4)])
+    @pytest.mark.parametrize("mode,tol", [("l1", 0.05), ("additive", 1e-3)])
     def test_spark_matches_numpy(self, any_graph, mode, tol):
         df = (
             th.thresholds_df(any_graph, mode=mode, tol=tol)
@@ -69,7 +79,6 @@ class TestSparkThetas:
         fn = {
             "l1": lambda: th.theta_l1(csr, tol),
             "additive": lambda: th.theta_additive(csr, tol),
-            "uniform": lambda: th.theta_uniform(csr, tol),
         }[mode]
         assert np.allclose(df["theta"].to_numpy(), fn())
 
@@ -109,16 +118,26 @@ class TestCostBounds:
         """Table 1 row 1: EdgePush's expected ℓ1 bound ≤ (1-α)·LocalPush's."""
         csr = any_graph.csr
         eps = 0.01
-        lp = th.localpush_expected_cost(csr, alpha=ALPHA, theta=eps / csr.norm_a())
-        ep = th.edgepush_expected_cost(csr, th.theta_l1(csr, eps), alpha=ALPHA)
+        lp = lp_expected(csr, eps / csr.norm_a())
+        ep = ep_expected(csr, th.theta_l1(csr, eps))
         assert ep <= lp + 1e-6
 
     def test_edgepush_additive_never_worse(self, any_graph):
         csr = any_graph.csr
         rmax = 1e-4
-        lp = th.localpush_expected_cost(csr, alpha=ALPHA, theta=rmax)
-        ep = th.edgepush_expected_cost(csr, th.theta_additive(csr, rmax), alpha=ALPHA)
+        lp = lp_expected(csr, rmax)
+        ep = ep_expected(csr, th.theta_additive(csr, rmax))
         assert ep <= lp + 1e-6
+
+    def test_localpush_bound_skips_isolated_nodes(self, spark):
+        """A node without edges has π = d = 0 and adds nothing to Lemma 11's
+        sum: on one unit edge plus an isolated node the bound is
+        (π(0)+π(1))/(α·θ) = 1/(α·θ), not NaN."""
+        pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
+        csr = WeightedGraph.from_undirected_pandas(spark, pdf, n=3).csr
+        pi = ground_truth(csr, 0, alpha=ALPHA)
+        bound = th.localpush_source_cost(csr, pi, alpha=ALPHA, theta=1e-3)
+        assert bound == pytest.approx(1 / (ALPHA * 1e-3))
 
     def test_expected_cost_formulas(self, spark):
         """Closed forms: on a unit-weight graph the ℓ1-regime ratio is
@@ -126,6 +145,7 @@ class TestCostBounds:
         g = get_graph(spark, "triangle")
         csr = g.csr
         eps = 0.2
-        lp = th.localpush_expected_cost(csr, alpha=ALPHA, theta=eps / csr.norm_a())
-        ep = th.edgepush_expected_cost(csr, th.theta_l1(csr, eps), alpha=ALPHA)
+        lp = lp_expected(csr, eps / csr.norm_a())
+        ep = ep_expected(csr, th.theta_l1(csr, eps))
+        assert lp == pytest.approx(csr.nnz / (ALPHA * eps))  # Fact 1: 2m/(α·ε)
         assert ep / lp == pytest.approx(1 - ALPHA)
