@@ -74,7 +74,7 @@ def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) ->
     ``ValueError`` for a truncated run."""
     _refuse_truncated(res, ids)
     csr = graph.csr
-    est = res.vector(graph.n)
+    est = res.estimate
     best_phi, best_size = M.sweep_conductance(csr, est / csr.deg)
     return {
         **ids,
@@ -143,7 +143,6 @@ def l1_tradeoff(
     sources: list[int],
     eps_grid=(1e-1, 1e-2, 1e-3),
     iters_grid=(3, 5, 7, 9),
-    scan_frac: float = DEFAULT_SCAN_FRAC,
 ) -> pd.DataFrame:
     """ℓ1-error vs work for EdgePush (scan-switched) vs PowForPush (LocalPush
     with the same scan switch) vs Power Method — the §6.2 comparison."""
@@ -155,14 +154,15 @@ def l1_tradeoff(
             runs.append((
                 "EdgePush", f"eps={eps:g}",
                 edge_push(
-                    graph, s, alpha=ALPHA, mode="l1", tol=eps, scan_frac=scan_frac
+                    graph, s, alpha=ALPHA, mode="l1", tol=eps,
+                    scan_frac=DEFAULT_SCAN_FRAC,
                 ),
             ))
             runs.append((
                 "PowForPush", f"eps={eps:g}",
                 local_push(
                     graph, s, alpha=ALPHA, theta=eps / graph.csr.norm_a(),
-                    scan_frac=scan_frac,
+                    scan_frac=DEFAULT_SCAN_FRAC,
                 ),
             ))
         for iters in iters_grid:

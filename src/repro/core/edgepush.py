@@ -34,7 +34,6 @@ from repro.core.runtime import (
     PPRResult,
     check_query,
     few_shuffle_partitions,
-    positive_estimate,
     push_supersteps,
 )
 from repro.core.thresholds import thresholds_df
@@ -95,5 +94,4 @@ def edge_push(
     # π̂(v) = α·q(v), q(v) = [v=s] + Σ_u out(u,v)
     q = np.bincount(edges["dst"], weights=edges["out"], minlength=graph.n)
     q[source] += 1.0
-    est = positive_estimate(np.arange(graph.n), alpha * q)
-    return PPRResult(estimate=est, cost=cost, converged=converged, state=edges)
+    return PPRResult(estimate=alpha * q, cost=cost, converged=converged, state=edges)

@@ -11,9 +11,9 @@ differ only in the push phase before it:
 
 - plain Monte-Carlo has none: π̂ = 0, r = e_s, and ω = W walks from the
   source each contribute 1/W;
-- FORA runs batch LocalPush with node threshold θ, by default FORA's
-  balanced θ ≈ sqrt(1/(ω·m)) scaled to weighted degrees, which trades
-  push work against the number of walks;
+- FORA runs batch LocalPush with node threshold θ, FORA's balanced
+  θ ≈ sqrt(1/(ω·m)) scaled to weighted degrees, which trades push work
+  against the number of walks;
 - SpeedPPR (Wu et al.) runs PowForPush down to the same θ, i.e. LocalPush
   with the scan switch of :func:`repro.core.runtime.push_supersteps`:
   ``fora(..., scan_frac=DEFAULT_SCAN_FRAC)``.
@@ -59,11 +59,7 @@ def _walk_phase(
         contrib = np.repeat(r / n_walks, n_walks)
         per_node, steps = run_walks(graph.csr, start, contrib, alpha=alpha, seed=seed)
         cost.add_walks(walks=len(start), steps=steps)
-        est = (
-            pd.concat([est, per_node.rename(columns={"contrib": "est"})])
-            .groupby("node", as_index=False)["est"]
-            .sum()
-        )
+        est = base.estimate + per_node
     cost.wall_seconds += time.perf_counter() - t0
     return PPRResult(estimate=est, cost=cost, converged=base.converged)
 
@@ -84,22 +80,18 @@ def monte_carlo(
     delta: float = 1e-2,
     eps_r: float = 0.5,
     p_f: float | None = None,
-    n_walks: int | None = None,
     seed: int = 0,
 ) -> PPRResult:
-    """Plain Monte-Carlo SSPPR: W α-walks from the source, each weighted
-    1/W; W = ``n_walks``, or ω for (δ, ε_r, p_f). Raises ``ValueError`` for
-    α ∉ (0,1), a source that is not a node with edges, ``n_walks < 1`` or
-    walk parameters :func:`walk_count` refuses."""
+    """Plain Monte-Carlo SSPPR: ω α-walks from the source for (δ, ε_r,
+    p_f), each weighted 1/ω. Raises ``ValueError`` for α ∉ (0,1), a source
+    that is not a node with edges or walk parameters :func:`walk_count`
+    refuses."""
     check_query(graph, source, alpha)
-    if n_walks is not None and n_walks < 1:
-        raise ValueError(f"walk parameters need n_walks >= 1, got {n_walks}")
-    empty = pd.DataFrame({"node": np.empty(0, np.int64), "est": np.empty(0)})
     return _walk_phase(
         graph,
-        PPRResult(estimate=empty, cost=CostStats()),
+        PPRResult(estimate=np.zeros(graph.n), cost=CostStats()),
         pd.DataFrame({"node": [source], "r": [1.0]}),
-        omega=_omega(graph, delta, eps_r, p_f) if n_walks is None else n_walks,
+        omega=_omega(graph, delta, eps_r, p_f),
         alpha=alpha,
         seed=seed,
     )
@@ -134,15 +126,13 @@ def fora(
     delta: float = 1e-2,
     eps_r: float = 0.5,
     p_f: float | None = None,
-    theta: float | None = None,
     scan_frac: float | None = None,
     seed: int = 0,
 ) -> PPRResult:
-    """FORA SSPPR estimate with relative-error parameters (δ, ε_r, p_f);
-    with ``scan_frac`` set, the push phase is PowForPush and this is
-    SpeedPPR."""
+    """FORA SSPPR estimate with relative-error parameters (δ, ε_r, p_f),
+    pushing down to :func:`balanced_theta`; with ``scan_frac`` set, the push
+    phase is PowForPush and this is SpeedPPR."""
     omega = _omega(graph, delta, eps_r, p_f)
-    if theta is None:
-        theta = balanced_theta(graph, alpha=alpha, omega=omega)
+    theta = balanced_theta(graph, alpha=alpha, omega=omega)
     push_res = local_push(graph, source, alpha=alpha, theta=theta, scan_frac=scan_frac)
     return mc_repair(graph, push_res, omega=omega, alpha=alpha, seed=seed)

@@ -20,6 +20,7 @@ computed in numpy over the terminal state the loop collects.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -28,7 +29,6 @@ from repro.core.runtime import (
     PPRResult,
     check_query,
     few_shuffle_partitions,
-    positive_estimate,
     push_supersteps,
     state_checkpoint,
 )
@@ -87,5 +87,5 @@ def local_push(
             scan_frac=scan_frac,
             max_supersteps=max_supersteps,
         )
-    est = positive_estimate(state["node"], alpha * state["out"])
+    est = np.bincount(state["node"], alpha * state["out"], minlength=graph.n)
     return PPRResult(estimate=est, cost=cost, converged=converged, state=state)

@@ -9,7 +9,7 @@
   clustering application driving Figs 6/9.
 
 All metrics are numpy: vector metrics over dense vectors indexed by node id
-(use ``PPRResult.vector(n)``), conductance over the graph's CSR.
+(a ``PPRResult.estimate``), conductance over the graph's CSR.
 """
 from __future__ import annotations
 
@@ -33,7 +33,9 @@ def normalized_max_add_err(est: np.ndarray, gt: np.ndarray, deg: np.ndarray) -> 
 def precision_at_k(
     est: np.ndarray, gt: np.ndarray, *, k: int = 50, deg: np.ndarray | None = None
 ) -> float:
-    """Fraction of the true top-k recovered by the estimate's top-k.
+    """Fraction of the true top-k recovered by the estimate's top-k; on a
+    graph with fewer than k nodes the top-k is every node, so the fraction
+    is of min(k, n).
 
     With ``deg`` given this is the paper's *normalized precision@k*: both
     sides rank by π(u)/d(u). Ties are broken by node id (stable argsort on
@@ -43,7 +45,7 @@ def precision_at_k(
     s_gt = gt / deg if deg is not None else gt
     top_est = np.argsort(-s_est, kind="stable")[:k]
     top_gt = np.argsort(-s_gt, kind="stable")[:k]
-    return len(set(top_est.tolist()) & set(top_gt.tolist())) / k
+    return len(set(top_est.tolist()) & set(top_gt.tolist())) / min(k, len(gt))
 
 
 def conductance_of_set(csr: CSR, members: np.ndarray) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pandas as pd
 
 from repro.graphs.graph import CSR
 
@@ -51,10 +50,10 @@ def run_walks(
     *,
     alpha: float = 0.2,
     seed: int = 0,
-) -> tuple[pd.DataFrame, int]:
+) -> tuple[np.ndarray, int]:
     """Simulate one α-walk from each ``start[i]``, adding ``contrib[i]`` to
-    its terminal node. Returns (terminal contributions per node as
-    ``(node, contrib)``, total steps taken).
+    its terminal node. Returns (the summed contributions as a dense vector
+    over the n nodes, total steps taken).
 
     Per round every alive walk stops with probability α, survivors move to
     a weight-proportional neighbor in one searchsorted. Deterministic in
@@ -70,5 +69,4 @@ def run_walks(
         x = rng.random(alive.size) * (1 - 1e-12)
         cur[alive] = csr.indices[np.searchsorted(key, cur[alive] + x, side="right")]
         steps += alive.size
-    out = pd.DataFrame({"node": cur, "contrib": np.asarray(contrib, dtype=np.float64)})
-    return out.groupby("node", as_index=False)["contrib"].sum(), steps
+    return np.bincount(cur, weights=contrib, minlength=csr.n), steps

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.localpush import local_push
-from repro.core.runtime import CostStats, PPRResult, positive_estimate
+from repro.core.runtime import CostStats, PPRResult
 from repro.graphs.graph import CSR, WeightedGraph
 
 
@@ -55,7 +55,9 @@ def power_method(
         raise ValueError(f"iters must be >= 0, got {iters}")
     res = local_push(graph, source, alpha=alpha, theta=0.0, max_supersteps=iters)
     state = res.state
-    est = positive_estimate(state["node"], alpha * state["out"] + state["r"])
+    est = np.bincount(
+        state["node"], alpha * state["out"] + state["r"], minlength=graph.n
+    )
     two_m = graph.csr.nnz
     cost = CostStats(
         supersteps=iters,

@@ -38,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from numpy.typing import ArrayLike
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -80,26 +79,29 @@ class CostStats:
 
 @dataclass
 class PPRResult:
-    """Estimate + work accounting returned by every SSPPR algorithm.
+    """Estimate + work accounting returned by every SSPPR algorithm, Spark
+    or sequential.
 
-    ``estimate`` maps node -> π̂(node) (nodes with π̂=0 may be absent).
-    ``cost`` is the machine-independent work metric (edge touches), the
-    quantity the paper's Table 1 bounds. ``converged`` is False when a push
-    run stopped at its superstep cap with candidates left, so the paper's
-    bound does not hold for ``estimate``. ``state`` is the terminal state of
-    a push run as pandas (EdgePush: ``(src, dst, p, theta, r, out)``;
-    LocalPush: ``(node, deg, nbrs, r, out)``), ``None`` for other methods.
+    ``estimate`` is π̂ as a dense vector over the n nodes. ``cost`` is the
+    machine-independent work metric (edge touches), the quantity the
+    paper's Table 1 bounds. ``converged`` is False when a push run stopped
+    at its superstep or push cap with candidates left, so the paper's bound
+    does not hold for ``estimate``. ``state`` is the terminal state of a
+    push run as pandas, ``None`` for the walk methods and the Power Method:
+    batch EdgePush ``(src, dst, p, theta, r, out)``, batch LocalPush
+    ``(node, deg, nbrs, r, out)``, sequential EdgePush ``(src, dst, r,
+    out)`` in CSR order and sequential LocalPush ``(node, r)`` over all
+    nodes; ``out`` is the residue pushed so far.
     """
 
-    estimate: pd.DataFrame  # columns: node, est
+    estimate: np.ndarray  # π̂ per node
     cost: CostStats
     converged: bool = True
     state: pd.DataFrame | None = None
 
     def vector(self, n: int) -> np.ndarray:
-        v = np.zeros(n)
-        v[self.estimate["node"].to_numpy(np.int64)] = self.estimate["est"].to_numpy()
-        return v
+        """π̂ over the ``n`` nodes: the estimate itself."""
+        return self.estimate
 
 
 @contextmanager
@@ -124,12 +126,6 @@ def few_shuffle_partitions(spark: SparkSession):
 def state_checkpoint(df: DataFrame) -> DataFrame:
     """Materialize and truncate lineage of per-superstep state."""
     return df.localCheckpoint(eager=True)
-
-
-def positive_estimate(node: ArrayLike, est: ArrayLike) -> pd.DataFrame:
-    """The estimate frame ``(node, est)`` of the nodes with ``est > 0``."""
-    node, est = np.asarray(node, np.int64), np.asarray(est)
-    return pd.DataFrame({"node": node[est > 0], "est": est[est > 0]})
 
 
 def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:

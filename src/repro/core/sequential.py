@@ -9,7 +9,9 @@ and serve two purposes in the reproduction:
 1. **semantic oracle** — the distributed batch versions in
    ``repro.core.localpush`` / ``repro.core.edgepush`` must terminate with
    the same invariants and (for identical thresholds) residues below the
-   same bounds; tests cross-check their estimates against these.
+   same bounds; tests cross-check their estimates against these. Both
+   return a :class:`repro.core.runtime.PPRResult` like the batch methods:
+   the dense π̂, the cost, and the terminal residues as ``state``.
 2. **operation counting** — the Table-1 complexity experiment can measure
    this exact sequential schedule (``impl="sequential"``). Note the FIFO
    eligible-edge order is one of many the paper's structure admits: on
@@ -26,38 +28,26 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 
-from repro.core.runtime import CostStats
+from repro.core.runtime import CostStats, PPRResult
 from repro.graphs.graph import CSR
-
-
-@dataclass
-class SeqPushResult:
-    """Estimate π̂ plus the terminal residuals (for invariant checks).
-
-    ``converged`` is True iff the work queue was empty when the run exited;
-    a run stopped at ``max_pushes`` has no error or cost bound.
-    """
-
-    pi: np.ndarray  # π̂ per node
-    node_residue: np.ndarray | None  # LocalPush r(u); None for EdgePush
-    edge_residue: np.ndarray | None  # EdgePush R_uv per directed edge; None for LocalPush
-    cost: CostStats
-    converged: bool
 
 
 def sequential_local_push(
     csr: CSR, source: int, *, alpha: float = 0.2, theta: float = 1e-6,
     max_pushes: int = 100_000_000,
-) -> SeqPushResult:
+) -> PPRResult:
     """Algorithm 1 (LocalPush / MAPPR) with a FIFO work queue.
 
     Pushes node ``u`` while ``r(u) ≥ d(u)·θ``; each push touches all n(u)
     incident edges — the inefficiency EdgePush removes on unbalanced graphs.
-    Raises ``ValueError`` for θ ≤ 0 or NaN, which push zero mass until the cap.
+    The result's ``state`` is ``(node, r)`` over all n nodes, and
+    ``converged`` is False when the run stopped at ``max_pushes`` with the
+    queue not empty. Raises ``ValueError`` for θ ≤ 0 or NaN, which push
+    zero mass until the cap.
     """
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
@@ -86,15 +76,14 @@ def sequential_local_push(
                 in_queue[v] = True
                 queue.append(v)
     cost.stop()
-    return SeqPushResult(
-        pi=pi, node_residue=r, edge_residue=None, cost=cost, converged=not queue
-    )
+    state = pd.DataFrame({"node": np.arange(csr.n), "r": r})
+    return PPRResult(estimate=pi, cost=cost, converged=not queue, state=state)
 
 
 def sequential_edge_push(
     csr: CSR, source: int, theta_edge: np.ndarray, *, alpha: float = 0.2,
     max_pushes: int = 100_000_000,
-) -> SeqPushResult:
+) -> PPRResult:
     """Algorithm 2 (EdgePush) with the §4.3 two-level candidate structure.
 
     Per node ``u`` a priority queue over u's out-edges keyed by
@@ -103,6 +92,11 @@ def sequential_edge_push(
     candidate iff its residue ``R_uv = (1-α)q(u)A_uv/d(u) - Q_uv ≥ θ(u,v)``
     (Observation 1). ``θ_edge`` is indexed like the CSR's directed edges;
     raises ``ValueError`` unless it has one θ > 0 per directed edge.
+
+    The result's ``state`` is ``(src, dst, r, out)`` in CSR order, with
+    ``r = R_uv`` and ``out = Q_uv``, the residue pushed along the edge, and
+    ``converged`` is False when the run stopped at ``max_pushes`` with work
+    left.
     """
     deg, indptr, indices, w = csr.deg, csr.indptr, csr.indices, csr.weights
     theta_edge = np.asarray(theta_edge, dtype=np.float64)
@@ -171,6 +165,5 @@ def sequential_edge_push(
         enqueue(v)  # v's income grew, its edges may now be eligible
     cost.stop()
     R = (1.0 - alpha) * q[src_of] * w / deg[src_of] - Q
-    return SeqPushResult(
-        pi=alpha * q, node_residue=None, edge_residue=R, cost=cost, converged=not work
-    )
+    state = pd.DataFrame({"src": src_of, "dst": indices, "r": R, "out": Q})
+    return PPRResult(estimate=alpha * q, cost=cost, converged=not work, state=state)

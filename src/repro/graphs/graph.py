@@ -112,9 +112,13 @@ class WeightedGraph:
         of the others are stored. ``n`` defaults to the largest id kept
         plus one. Raises ``ValueError`` for a NaN, infinite or negative
         weight, a self-loop, a pair given twice (in either order), an id
-        outside ``[0, n)``, or, when ``n`` is not given, no edge of positive
-        weight.
+        that is not an integer or lies outside ``[0, n)``, or, when ``n`` is
+        not given, no edge of positive weight.
         """
+        for col in ("src", "dst"):
+            ids = pdf[col].to_numpy(np.float64)
+            if not (np.isfinite(ids) & (ids == np.round(ids))).all():
+                raise ValueError("node ids must be integers")
         w = pdf["weight"].to_numpy(np.float64)
         if not np.isfinite(w).all() or (w < 0).any():
             raise ValueError("edge weights must be finite and non-negative")

@@ -57,6 +57,8 @@ class TestConstruction:
             ((1, 0, 3.0), None),
             ((0, 1, 1.0), None),
             ((2, 1, 2.0), 3),
+            ((1.5, 3, 1.0), None),
+            ((float("nan"), 2, 1.0), None),
         ],
         ids=[
             "nan",
@@ -68,11 +70,14 @@ class TestConstruction:
             "reversed_pair",
             "repeated_pair",
             "reversed_pair_n",
+            "fractional_id",
+            "nan_id",
         ],
     )
     def test_rejects_malformed_edge_list(self, spark, bad, n):
         """The one constructor checks its input: a weight that is not a
-        finite non-negative number, a self-loop, an id outside [0, n) or a
+        finite non-negative number, a self-loop, an id that is not an
+        integer (a cast would truncate 1.5 to 1) or lies outside [0, n), or a
         pair given twice (parallel edges would count it twice in degrees,
         thresholds and edge touches) raises instead of building a graph
         that answers wrongly."""

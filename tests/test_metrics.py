@@ -58,6 +58,12 @@ class TestPrecisionAtK:
         top_norm = np.argsort(-(gt / deg))[0]
         assert top_norm == 1
 
+    def test_exact_estimate_on_fewer_than_k_nodes(self):
+        """With n < k the top-k is every node: an exact estimate scores 1."""
+        gt = np.array([0.5, 0.3, 0.2])
+        assert M.precision_at_k(gt, gt, k=10) == 1.0
+        assert M.precision_at_k(gt, gt, k=10, deg=np.ones(3)) == 1.0
+
     def test_self_precision_always_one(self, spark):
         g = get_graph(spark, "er_lognormal")
         pi = ground_truth(g.csr, 0)

@@ -95,4 +95,4 @@ class TestPowerMethodSpark:
     def test_estimate_sums_to_one(self, spark):
         g = get_graph(spark, "star")
         res = power_method(g, 0, iters=25)
-        assert res.estimate["est"].sum() == pytest.approx(1.0, abs=1e-9)
+        assert res.estimate.sum() == pytest.approx(1.0, abs=1e-9)

@@ -62,8 +62,8 @@ class TestEdgePushProperties:
     def test_l1_bound_any_graph(self, csr, eps, alpha):
         gt = ground_truth(csr, 0, alpha=alpha, iters=200)
         res = sequential_edge_push(csr, 0, th.theta_l1(csr, eps), alpha=alpha)
-        assert np.abs(res.pi - gt).sum() <= eps + 1e-8
-        assert (res.pi <= gt + 1e-9).all()
+        assert np.abs(res.estimate - gt).sum() <= eps + 1e-8
+        assert (res.estimate <= gt + 1e-9).all()
 
     @given(csr=random_weighted_csr(), rmax=st.floats(min_value=1e-5, max_value=1e-2),
            alpha=st.floats(min_value=0.05, max_value=0.8))
@@ -71,21 +71,21 @@ class TestEdgePushProperties:
     def test_additive_bound_any_graph(self, csr, rmax, alpha):
         gt = ground_truth(csr, 0, alpha=alpha, iters=250)
         res = sequential_edge_push(csr, 0, th.theta_additive(csr, rmax), alpha=alpha)
-        assert (np.abs(res.pi - gt) / csr.deg).max() <= rmax + 1e-8
+        assert (np.abs(res.estimate - gt) / csr.deg).max() <= rmax + 1e-8
 
     @given(csr=random_weighted_csr())
     @settings(**COMMON)
     def test_terminal_residues_below_theta(self, csr):
         theta = th.theta_l1(csr, 0.05)
         res = sequential_edge_push(csr, 0, theta, alpha=0.2)
-        assert (res.edge_residue <= theta + 1e-10).all()
+        assert (res.state["r"] <= theta + 1e-10).all()
 
     @given(csr=random_weighted_csr())
     @settings(**COMMON)
     def test_matches_localpush_at_high_precision(self, csr):
         lp = sequential_local_push(csr, 0, alpha=0.2, theta=1e-8 / csr.norm_a())
         ep = sequential_edge_push(csr, 0, th.theta_l1(csr, 1e-8), alpha=0.2)
-        assert np.abs(lp.pi - ep.pi).max() < 1e-6
+        assert np.abs(lp.estimate - ep.estimate).max() < 1e-6
 
 
 class TestLocalPushProperties:
@@ -94,7 +94,7 @@ class TestLocalPushProperties:
     def test_l1_bound_any_graph(self, csr, eps):
         gt = ground_truth(csr, 0, alpha=0.2, iters=200)
         res = sequential_local_push(csr, 0, alpha=0.2, theta=eps / csr.norm_a())
-        assert np.abs(res.pi - gt).sum() <= eps + 1e-8
+        assert np.abs(res.estimate - gt).sum() <= eps + 1e-8
 
     @given(csr=random_weighted_csr(), s_idx=st.integers(min_value=0, max_value=100))
     @settings(**COMMON)
@@ -102,7 +102,7 @@ class TestLocalPushProperties:
         s = s_idx % csr.n
         gt = ground_truth(csr, s, alpha=0.2, iters=200)
         res = sequential_local_push(csr, s, alpha=0.2, theta=1e-4)
-        assert (np.abs(res.pi - gt) / csr.deg).max() <= 1e-4 + 1e-9
+        assert (np.abs(res.estimate - gt) / csr.deg).max() <= 1e-4 + 1e-9
 
 
 class TestTheoryProperties:

@@ -75,7 +75,7 @@ class TestBatchLocalPush:
         theta = eps / csr.norm_a()
         batch = local_push(any_graph, 0, alpha=ALPHA, theta=theta)
         seq = sequential_local_push(csr, 0, alpha=ALPHA, theta=theta)
-        assert np.abs(batch.vector(any_graph.n) - seq.pi).sum() <= 2 * eps
+        assert np.abs(batch.vector(any_graph.n) - seq.estimate).sum() <= 2 * eps
 
     def test_mass_conservation(self, any_graph):
         """reserve + residual mass sums to 1 at all times."""
@@ -157,7 +157,7 @@ class TestBatchEdgePush:
         eps = 0.05
         batch = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=eps)
         seq = sequential_edge_push(csr, 0, th.theta_l1(csr, eps), alpha=ALPHA)
-        assert np.abs(batch.vector(any_graph.n) - seq.pi).sum() <= 2 * eps
+        assert np.abs(batch.vector(any_graph.n) - seq.estimate).sum() <= 2 * eps
 
     def test_work_advantage_on_star(self, spark):
         """The headline claim at batch granularity: on the Figure-1 graph,
@@ -335,17 +335,19 @@ def test_power_method_jobs(spark):
         (local_push, {"theta": 1e-2}),
         (power_method, {"iters": 3}),
         (fora, {"delta": 0.1}),
-        (monte_carlo, {"n_walks": 100}),
+        (monte_carlo, {"delta": 0.4}),
     ],
     ids=["edge_push", "local_push", "power_method", "fora", "monte_carlo"],
 )
 def test_result_holds_no_spark_dataframe(spark, method, kwargs):
     """A result is driver data only: it keeps no checkpointed Spark state
-    alive after its query."""
+    alive after its query, and its estimate is π̂ as a dense vector."""
     g = get_graph(spark, "star")
     res = method(g, 0, alpha=ALPHA, **kwargs)
     assert not any(isinstance(v, DataFrame) for v in vars(res).values())
     assert res.state is None or isinstance(res.state, pd.DataFrame)
+    assert isinstance(res.estimate, np.ndarray)
+    assert res.estimate.shape == (g.n,)
 
 
 # Two tolerances per loop on er_lognormal, far enough apart in supersteps
@@ -425,7 +427,7 @@ def test_walk_phase_jobs(spark, method, graph_name):
     g = get_graph(spark, graph_name)
     if method == "monte_carlo":
         first = highest_job_id(spark)
-        res = monte_carlo(g, 0, alpha=ALPHA, n_walks=2000, seed=1)
+        res = monte_carlo(g, 0, alpha=ALPHA, delta=0.02, seed=1)
     else:
         push_res = local_push(g, 0, alpha=ALPHA, theta=1e-3)
         first = highest_job_id(spark)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import thresholds as th
 from repro.core.power import ground_truth
+from repro.core.runtime import PPRResult
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 
 from .helpers import GRAPH_BUILDERS, get_graph
@@ -30,13 +31,20 @@ class TestSequentialLocalPush:
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-4)
-        assert (res.pi <= gt + 1e-10).all()
+        assert (res.estimate <= gt + 1e-10).all()
 
     def test_terminal_residues_below_threshold(self, any_graph):
+        """The result holds the dense π̂ and, as ``state``, the terminal
+        residue r(u) of every node."""
         csr = any_graph.csr
         theta = 1e-4
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=theta)
-        assert (res.node_residue <= csr.deg * theta + 1e-12).all()
+        assert isinstance(res, PPRResult)
+        assert isinstance(res.estimate, np.ndarray)
+        assert res.estimate.shape == (csr.n,)
+        assert list(res.state.columns) == ["node", "r"]
+        np.testing.assert_array_equal(res.state["node"], np.arange(csr.n))
+        assert (res.state["r"] <= csr.deg * theta + 1e-12).all()
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     def test_l1_error_bound_fact1(self, any_graph, eps):
@@ -44,7 +52,7 @@ class TestSequentialLocalPush:
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=eps / csr.norm_a())
-        assert np.abs(res.pi - gt).sum() <= eps + 1e-9
+        assert np.abs(res.estimate - gt).sum() <= eps + 1e-9
 
     @pytest.mark.parametrize("rmax", [1e-2, 1e-4])
     def test_additive_error_bound_fact2(self, any_graph, rmax):
@@ -52,14 +60,14 @@ class TestSequentialLocalPush:
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=rmax)
-        assert (np.abs(res.pi - gt) / csr.deg).max() <= rmax + 1e-9
+        assert (np.abs(res.estimate - gt) / csr.deg).max() <= rmax + 1e-9
 
     def test_invariant_lemma1(self, spark):
         """π(t) = π̂(t) + Σ_u r(u)·π_u(t) at termination (Lemma 1)."""
         csr = get_graph(spark, "er_lognormal").csr
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-3)
         pprs = _ppr_matrix(csr)
-        reconstructed = res.pi + res.node_residue @ pprs
+        reconstructed = res.estimate + res.state["r"] @ pprs
         assert np.allclose(reconstructed, pprs[0], atol=1e-7)
 
     def test_cost_within_lemma11_bound(self, any_graph):
@@ -91,38 +99,52 @@ class TestSequentialEdgePush:
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_edge_push(csr, 0, th.theta_l1(csr, 0.01), alpha=ALPHA)
-        assert (res.pi <= gt + 1e-10).all()
+        assert (res.estimate <= gt + 1e-10).all()
 
     def test_terminal_edge_residues_below_threshold(self, any_graph):
+        """The result holds the dense π̂ and, as ``state``, per directed
+        edge in CSR order the terminal residue R_uv and Q_uv, the residue
+        pushed along it: the node income is q(v) = [v=s] + Σ_u Q_uv and
+        π̂ = α·q."""
         csr = any_graph.csr
         theta = th.theta_l1(csr, 0.05)
         res = sequential_edge_push(csr, 0, theta, alpha=ALPHA)
-        assert (res.edge_residue <= theta + 1e-12).all()
+        assert isinstance(res, PPRResult)
+        assert isinstance(res.estimate, np.ndarray)
+        assert res.estimate.shape == (csr.n,)
+        state = res.state
+        assert list(state.columns) == ["src", "dst", "r", "out"]
+        np.testing.assert_array_equal(state["src"], csr.src)
+        np.testing.assert_array_equal(state["dst"], csr.indices)
+        q = np.bincount(state["dst"], state["out"], minlength=csr.n)
+        q[0] += 1.0
+        np.testing.assert_allclose(res.estimate, ALPHA * q, rtol=1e-12)
+        assert (state["r"] <= theta + 1e-12).all()
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     def test_l1_error_bound_theorem2(self, any_graph, eps):
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_edge_push(csr, 0, th.theta_l1(csr, eps), alpha=ALPHA)
-        assert np.abs(res.pi - gt).sum() <= eps + 1e-9
+        assert np.abs(res.estimate - gt).sum() <= eps + 1e-9
 
     @pytest.mark.parametrize("rmax", [1e-2, 1e-4])
     def test_additive_error_bound_theorem3(self, any_graph, rmax):
         csr = any_graph.csr
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_edge_push(csr, 0, th.theta_additive(csr, rmax), alpha=ALPHA)
-        assert (np.abs(res.pi - gt) / csr.deg).max() <= rmax + 1e-9
+        assert (np.abs(res.estimate - gt) / csr.deg).max() <= rmax + 1e-9
 
     def test_invariant_lemma2(self, spark):
         """π(t) = αq(t) + Σ_{⟨u,v⟩} R_uv·π_v(t) at termination (Lemma 2)."""
         csr = get_graph(spark, "er_lognormal").csr
         res = sequential_edge_push(csr, 0, th.theta_l1(csr, 0.05), alpha=ALPHA)
         pprs = _ppr_matrix(csr)
-        v = csr.indices
+        v, r = csr.indices, res.state["r"].to_numpy()
         correction = np.zeros(csr.n)
         for e in range(csr.nnz):
-            correction += res.edge_residue[e] * pprs[v[e]]
-        assert np.allclose(res.pi + correction, pprs[0], atol=1e-7)
+            correction += r[e] * pprs[v[e]]
+        assert np.allclose(res.estimate + correction, pprs[0], atol=1e-7)
 
     def test_cost_within_lemma3_bound(self, any_graph):
         csr = any_graph.csr
@@ -148,14 +170,14 @@ class TestSequentialEdgePush:
         lp = sequential_local_push(csr, 0, alpha=ALPHA, theta=eps / csr.norm_a())
         ep = sequential_edge_push(csr, 0, th.theta_l1(csr, eps), alpha=ALPHA)
         gt = ground_truth(csr, 0, alpha=ALPHA)
-        assert np.abs(ep.pi - gt).sum() <= eps
+        assert np.abs(ep.estimate - gt).sum() <= eps
         assert ep.cost.edge_touches < lp.cost.edge_touches / 3
 
     def test_agrees_with_localpush_at_high_precision(self, any_graph):
         csr = any_graph.csr
         lp = sequential_local_push(csr, 0, alpha=ALPHA, theta=1e-7 / csr.norm_a())
         ep = sequential_edge_push(csr, 0, th.theta_l1(csr, 1e-7), alpha=ALPHA)
-        assert np.abs(lp.pi - ep.pi).max() < 1e-6
+        assert np.abs(lp.estimate - ep.estimate).max() < 1e-6
 
 
 @pytest.mark.parametrize(
