@@ -2,11 +2,10 @@
 (normalized precision@50 vs cost) and 6/9 (conductance vs cost): the five
 §6.1 methods on one motif-based lite (YT) and one real-weighted lite (TA).
 
-One row per (dataset, method, source, parameter) carries all three metric
+Each method runs from 2 degree-sampled sources per dataset (seed 0). One
+row per (dataset, method, source, parameter) carries all three metric
 groups; jobs/additive_tradeoff.py runs the full 8-dataset sweep.
 """
-import pandas as pd
-
 from repro.analysis.experiments import additive_tradeoff
 from repro.graphs import datasets as ds
 
@@ -17,20 +16,13 @@ DATASETS = ("YT", "TA")
 
 def test_fig_additive_tradeoffs(benchmark, spark):
     def run():
-        frames = []
-        for key in DATASETS:
-            g = ds.load(spark, key)
-            frames.append(
-                additive_tradeoff(
-                    g,
-                    dataset=key,
-                    sources=g.sample_sources(2, seed=0),
-                    rmax_grid=(1e-3, 1e-4),
-                    delta_grid=(1e-1, 1e-2),
-                    seed=0,
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
+        return additive_tradeoff(
+            {key: ds.load(spark, key) for key in DATASETS},
+            n_sources=2,
+            seed=0,
+            rmax_grid=(1e-3, 1e-4),
+            delta_grid=(1e-1, 1e-2),
+        )
 
     df = run_and_save(benchmark, "fig_additive_tradeoffs", run)
     # the paper's headline (Figs 4/7): at matched r_max EdgePush-Add

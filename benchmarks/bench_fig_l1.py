@@ -1,8 +1,7 @@
 """Benchmark/repro of Figures 10/13 (actual ℓ1-error vs cost) and 14/15
 (MaxAddErr, precision@50 vs cost): EdgePush (scan-switched) vs PowForPush
-vs Power Method on one motif lite (YT) and one real-weighted lite (TA)."""
-import pandas as pd
-
+vs Power Method on one motif lite (YT) and one real-weighted lite (TA),
+each method from 2 degree-sampled sources per dataset (seed 0)."""
 from repro.analysis.experiments import l1_tradeoff
 from repro.graphs import datasets as ds
 
@@ -13,19 +12,13 @@ DATASETS = ("YT", "TA")
 
 def test_fig_l1_tradeoffs(benchmark, spark):
     def run():
-        frames = []
-        for key in DATASETS:
-            g = ds.load(spark, key)
-            frames.append(
-                l1_tradeoff(
-                    g,
-                    dataset=key,
-                    sources=g.sample_sources(2, seed=0),
-                    eps_grid=(1e-1, 1e-2),
-                    iters_grid=(3, 6, 9),
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
+        return l1_tradeoff(
+            {key: ds.load(spark, key) for key in DATASETS},
+            n_sources=2,
+            seed=0,
+            eps_grid=(1e-1, 1e-2),
+            iters_grid=(3, 6, 9),
+        )
 
     df = run_and_save(benchmark, "fig_l1_tradeoffs", run)
     # paper's observation: at relatively large ℓ1-error, EdgePush does the

@@ -11,7 +11,7 @@ def test_fig_unbalance_sweep(benchmark, spark):
         benchmark,
         "fig_unbalance_sweep",
         lambda: unbalance_sweep(
-            spark, n=300, sources=2, rmax_grid=(1e-4,), eps_grid=(1e-2,), seed=0
+            spark, n=300, n_sources=2, rmax_grid=(1e-4,), eps_grid=(1e-2,), seed=0
         ),
     )
     # per-graph mean work ratio EdgePush/LocalPush, ℓ1 regime: should

@@ -1,7 +1,8 @@
 """Job: reproduce Figures 4/7 (normalized MaxAddErr vs cost), 5/8
 (precision@50 vs cost) and 6/9 (conductance vs cost) — all five §6.1
-methods over the r_max / δ grids. One output row per
-(dataset, method, source, parameter) carries every metric.
+methods over the r_max / δ grids, each over ``--sources`` sources drawn
+from every dataset's degree distribution with ``--seed``. One output row
+per (dataset, method, source, parameter) carries every metric.
 
 Usage: spark-submit jobs/additive_tradeoff.py --datasets YT,TA [--out f.csv]
 """
@@ -9,8 +10,6 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-import pandas as pd
-
 from _common import base_parser, emit, make_spark
 
 from repro.analysis.experiments import additive_tradeoff
@@ -25,20 +24,16 @@ def main(argv=None) -> None:
     p.add_argument("--delta-grid", default="1e-1,1e-2,1e-3")
     args = p.parse_args(argv)
     spark = make_spark("additive_tradeoff")
-    frames = []
-    for key in args.datasets.split(","):
-        g = ds.load(spark, key)
-        frames.append(
-            additive_tradeoff(
-                g,
-                dataset=key,
-                sources=g.sample_sources(args.sources, seed=args.seed),
-                rmax_grid=tuple(float(x) for x in args.rmax_grid.split(",")),
-                delta_grid=tuple(float(x) for x in args.delta_grid.split(",")),
-                seed=args.seed,
-            )
-        )
-    emit(pd.concat(frames, ignore_index=True), args.out)
+    emit(
+        additive_tradeoff(
+            {key: ds.load(spark, key) for key in args.datasets.split(",")},
+            n_sources=args.sources,
+            seed=args.seed,
+            rmax_grid=tuple(float(x) for x in args.rmax_grid.split(",")),
+            delta_grid=tuple(float(x) for x in args.delta_grid.split(",")),
+        ),
+        args.out,
+    )
 
 
 if __name__ == "__main__":

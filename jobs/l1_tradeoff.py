@@ -1,6 +1,7 @@
 """Job: reproduce Figures 10/13 (actual ℓ1-error vs cost) and 14/15
 (MaxAddErr / precision@50 vs cost) — EdgePush (scan-switched) vs
-PowForPush vs Power Method.
+PowForPush vs Power Method, each over ``--sources`` sources drawn from
+every dataset's degree distribution with ``--seed``.
 
 Usage: spark-submit jobs/l1_tradeoff.py --datasets YT,TA [--out f.csv]
 """
@@ -8,8 +9,6 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-import pandas as pd
-
 from _common import base_parser, emit, make_spark
 
 from repro.analysis.experiments import l1_tradeoff
@@ -24,19 +23,16 @@ def main(argv=None) -> None:
     p.add_argument("--iters-grid", default="3,5,7,9")
     args = p.parse_args(argv)
     spark = make_spark("l1_tradeoff")
-    frames = []
-    for key in args.datasets.split(","):
-        g = ds.load(spark, key)
-        frames.append(
-            l1_tradeoff(
-                g,
-                dataset=key,
-                sources=g.sample_sources(args.sources, seed=args.seed),
-                eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
-                iters_grid=tuple(int(x) for x in args.iters_grid.split(",")),
-            )
-        )
-    emit(pd.concat(frames, ignore_index=True), args.out)
+    emit(
+        l1_tradeoff(
+            {key: ds.load(spark, key) for key in args.datasets.split(",")},
+            n_sources=args.sources,
+            seed=args.seed,
+            eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
+            iters_grid=tuple(int(x) for x in args.iters_grid.split(",")),
+        ),
+        args.out,
+    )
 
 
 if __name__ == "__main__":

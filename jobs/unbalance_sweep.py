@@ -1,5 +1,7 @@
 """Job: reproduce Figures 16/17 — EdgePush vs LocalPush on the four §6.3
-affinity graphs calibrated to the paper's cos²φ = (0.01, 0.14, 0.38, 0.66).
+affinity graphs calibrated to the paper's cos²φ = (0.01, 0.14, 0.38, 0.66),
+each over ``--sources`` sources drawn from its degree distribution with
+``--seed``.
 
 Usage: spark-submit jobs/unbalance_sweep.py [--n 300] [--out f.csv]
 """
@@ -24,7 +26,7 @@ def main(argv=None) -> None:
         unbalance_sweep(
             spark,
             n=args.n,
-            sources=args.sources,
+            n_sources=args.sources,
             rmax_grid=tuple(float(x) for x in args.rmax_grid.split(",")),
             eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
             seed=args.seed,

@@ -5,6 +5,12 @@ Each function returns a tidy ``pandas.DataFrame`` of rows, one per
 table/figure. ``jobs/*.py`` are thin spark-submit CLIs over these, and
 ``benchmarks/bench_*.py`` print the rows that EXPERIMENTS.md quotes.
 
+Table 1 and Figs 4–17 are one sweep, :func:`_sweep`: a harness takes its
+graphs as ``{label: WeightedGraph}`` with ``n_sources`` and ``seed``; per
+graph the sweep samples the sources from the degree distribution once,
+computes each source's ground truth once, and runs each of the harness's
+(method, parameter) points over all of the graph's sources in a row.
+
 Two cost axes are reported for every run (see DESIGN.md §4):
 
 - ``work`` — machine-independent edge touches (pushes + walk steps), the
@@ -13,6 +19,9 @@ Two cost axes are reported for every run (see DESIGN.md §4):
   overhead, recorded for completeness.
 """
 from __future__ import annotations
+
+from collections import defaultdict
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -93,88 +102,88 @@ def _row(graph: WeightedGraph, gt: np.ndarray, res, /, *, k: int = 50, **ids) ->
     }
 
 
+# ------------------------------------------------------- the evaluation sweep
+def _sweep(graphs: dict[str, WeightedGraph], runs, *, n_sources: int, seed: int):
+    """The sweep behind every harness. For each ``{label: graph}``, sample
+    ``n_sources`` sources from the degree distribution (with replacement),
+    compute π_s once per distinct source, then call every
+    ``(*spec, source → PPRResult)`` of ``runs(label, graph)`` over all of
+    the graph's sources in a row. Yields ``(label, graph, source, π_s,
+    spec, result)``."""
+    for label, g in graphs.items():
+        srcs = g.sample_sources(n_sources, seed=seed)
+        gts = {s: ground_truth(g.csr, s, alpha=ALPHA) for s in set(srcs)}
+        for *spec, run in runs(label, g):
+            for s in srcs:
+                yield label, g, s, gts[s], spec, run(s)
+
+
+def _tradeoff_rows(graphs, runs, *, n_sources: int, seed: int) -> pd.DataFrame:
+    """One ``_row`` per (dataset, method, source, param) of a sweep whose
+    runs are ``(method, param, run)``."""
+    return pd.DataFrame([
+        _row(g, gt, res, dataset=label, method=method, source=s, param=param)
+        for label, g, s, gt, (method, param), res
+        in _sweep(graphs, runs, n_sources=n_sources, seed=seed)
+    ])
+
+
 # ----------------------------------------- Figs 4/7, 5/8, 6/9 (additive regime)
 def additive_tradeoff(
-    graph: WeightedGraph,
+    graphs: dict[str, WeightedGraph],
     *,
-    dataset: str,
-    sources: list[int],
+    n_sources: int = 3,
+    seed: int = 0,
     rmax_grid=(1e-3, 1e-4, 1e-5),
     delta_grid=(1e-1, 1e-2, 1e-3),
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Error/precision/conductance vs work for the five §6.1 methods.
 
     EdgePush-Add and MAPPR sweep the (r_max ↔ θ) grid; the Monte-Carlo
-    family sweeps δ (with the paper's fixed ε_r = 0.5, p_f = 1/n).
+    family sweeps δ (with the paper's fixed ε_r = 0.5, p_f = 1/n), its
+    walks seeded with ``seed``.
     """
-    rows = []
-    gts = {s: ground_truth(graph.csr, s, alpha=ALPHA) for s in sources}
-    for s in sources:
-        runs = []
+    def runs(_, g):
         for rmax in rmax_grid:
-            runs += [
-                ("EdgePush-Add", f"rmax={rmax:g}",
-                 edge_push(graph, s, alpha=ALPHA, mode="additive", tol=rmax)),
-                ("MAPPR", f"theta={rmax:g}",
-                 local_push(graph, s, alpha=ALPHA, theta=rmax)),
-            ]
+            yield ("EdgePush-Add", f"rmax={rmax:g}",
+                   partial(edge_push, g, alpha=ALPHA, mode="additive", tol=rmax))
+            yield "MAPPR", f"theta={rmax:g}", partial(local_push, g, alpha=ALPHA, theta=rmax)
         for delta in delta_grid:
             param = f"delta={delta:g}"
-            runs += [
-                ("MC", param, monte_carlo(graph, s, alpha=ALPHA, delta=delta, seed=seed)),
-                ("FORA", param, fora(graph, s, alpha=ALPHA, delta=delta, seed=seed)),
-                ("SpeedPPR", param,
-                 fora(graph, s, alpha=ALPHA, delta=delta,
-                      scan_frac=DEFAULT_SCAN_FRAC, seed=seed)),
-            ]
-        rows += [
-            _row(graph, gts[s], res, dataset=dataset, method=m, source=s, param=p)
-            for m, p, res in runs
-        ]
-    return pd.DataFrame(rows)
+            yield "MC", param, partial(monte_carlo, g, alpha=ALPHA, delta=delta, seed=seed)
+            yield "FORA", param, partial(fora, g, alpha=ALPHA, delta=delta, seed=seed)
+            yield ("SpeedPPR", param,
+                   partial(fora, g, alpha=ALPHA, delta=delta,
+                           scan_frac=DEFAULT_SCAN_FRAC, seed=seed))
+
+    return _tradeoff_rows(graphs, runs, n_sources=n_sources, seed=seed)
 
 
 # -------------------------------------------- Figs 10/13, 14/15 (ℓ1 regime)
 def l1_tradeoff(
-    graph: WeightedGraph,
+    graphs: dict[str, WeightedGraph],
     *,
-    dataset: str,
-    sources: list[int],
+    n_sources: int = 3,
+    seed: int = 0,
     eps_grid=(1e-1, 1e-2, 1e-3),
     iters_grid=(3, 5, 7, 9),
 ) -> pd.DataFrame:
     """ℓ1-error vs work for EdgePush (scan-switched) vs PowForPush (LocalPush
     with the same scan switch) vs Power Method — the §6.2 comparison."""
-    rows = []
-    for s in sources:
-        gt = ground_truth(graph.csr, s, alpha=ALPHA)
-        runs = []
+    def runs(_, g):
         for eps in eps_grid:
-            runs.append((
-                "EdgePush", f"eps={eps:g}",
-                edge_push(
-                    graph, s, alpha=ALPHA, mode="l1", tol=eps,
-                    scan_frac=DEFAULT_SCAN_FRAC,
-                ),
-            ))
-            runs.append((
-                "PowForPush", f"eps={eps:g}",
-                local_push(
-                    graph, s, alpha=ALPHA, theta=eps / graph.csr.norm_a(),
-                    scan_frac=DEFAULT_SCAN_FRAC,
-                ),
-            ))
+            param = f"eps={eps:g}"
+            yield ("EdgePush", param,
+                   partial(edge_push, g, alpha=ALPHA, mode="l1", tol=eps,
+                           scan_frac=DEFAULT_SCAN_FRAC))
+            yield ("PowForPush", param,
+                   partial(local_push, g, alpha=ALPHA, theta=eps / g.csr.norm_a(),
+                           scan_frac=DEFAULT_SCAN_FRAC))
         for iters in iters_grid:
-            runs.append((
-                "PowerMethod", f"iters={iters:g}",
-                power_method(graph, s, alpha=ALPHA, iters=iters),
-            ))
-        rows += [
-            _row(graph, gt, res, dataset=dataset, method=m, source=s, param=p)
-            for m, p, res in runs
-        ]
-    return pd.DataFrame(rows)
+            yield ("PowerMethod", f"iters={iters:g}",
+                   partial(power_method, g, alpha=ALPHA, iters=iters))
+
+    return _tradeoff_rows(graphs, runs, n_sources=n_sources, seed=seed)
 
 
 # ----------------------------------------------- Figs 16/17 (unbalancedness)
@@ -182,7 +191,7 @@ def unbalance_sweep(
     spark: SparkSession,
     *,
     n: int = 300,
-    sources: int = 2,
+    n_sources: int = 2,
     rmax_grid=(1e-4, 1e-5),
     eps_grid=(1e-1, 1e-2),
     seed: int = 0,
@@ -199,50 +208,37 @@ def unbalance_sweep(
         paper_affinity_graphs,
     )
 
-    rows = []
+    graphs, graph_cols = {}, {}
     for i, (cfg, pdf) in enumerate(
         zip(PAPER_CONFIGS, paper_affinity_graphs(n, seed=seed))
     ):
-        g = WeightedGraph.from_undirected_pandas(spark, pdf)
-        csr = g.csr
-        c2 = U.cos2_phi(csr)
-        add_f = U.additive_unbalance_factor(csr)
-        srcs = g.sample_sources(sources, seed=seed)
-        for s in srcs:
-            gt = ground_truth(csr, s, alpha=ALPHA)
-            runs = []
-            for rmax in rmax_grid:
-                param = f"rmax={rmax:g}"
-                runs += [
-                    ("additive", "EdgePush-Add", param,
-                     edge_push(g, s, alpha=ALPHA, mode="additive", tol=rmax)),
-                    ("additive", "LocalPush", param,
-                     local_push(g, s, alpha=ALPHA, theta=rmax)),
-                ]
-            for eps in eps_grid:
-                param = f"eps={eps:g}"
-                runs += [
-                    ("l1", "EdgePush", param,
-                     edge_push(g, s, alpha=ALPHA, mode="l1", tol=eps)),
-                    ("l1", "LocalPush", param,
-                     local_push(g, s, alpha=ALPHA, theta=eps / csr.norm_a())),
-                ]
-            rows += [
-                _row(
-                    g, gt, res,
-                    graph=f"affinity-{i+1}(k={cfg['kappa']})",
-                    regime=regime,
-                    cos2_phi=round(c2, 3),
-                    add_factor=round(add_f, 3),
-                    paper_cos2=PAPER_COS2[i],
-                    paper_add_factor=PAPER_ADD_FACTOR[i],
-                    method=method,
-                    source=s,
-                    param=param,
-                )
-                for regime, method, param, res in runs
-            ]
-    return pd.DataFrame(rows)
+        label = f"affinity-{i+1}(k={cfg['kappa']})"
+        graphs[label] = g = WeightedGraph.from_undirected_pandas(spark, pdf)
+        graph_cols[label] = {
+            "cos2_phi": round(U.cos2_phi(g.csr), 3),
+            "add_factor": round(U.additive_unbalance_factor(g.csr), 3),
+            "paper_cos2": PAPER_COS2[i],
+            "paper_add_factor": PAPER_ADD_FACTOR[i],
+        }
+
+    def runs(_, g):
+        for rmax in rmax_grid:
+            param = f"rmax={rmax:g}"
+            yield ("additive", "EdgePush-Add", param,
+                   partial(edge_push, g, alpha=ALPHA, mode="additive", tol=rmax))
+            yield "additive", "LocalPush", param, partial(local_push, g, alpha=ALPHA, theta=rmax)
+        for eps in eps_grid:
+            param = f"eps={eps:g}"
+            yield "l1", "EdgePush", param, partial(edge_push, g, alpha=ALPHA, mode="l1", tol=eps)
+            yield ("l1", "LocalPush", param,
+                   partial(local_push, g, alpha=ALPHA, theta=eps / g.csr.norm_a()))
+
+    return pd.DataFrame([
+        _row(g, gt, res, graph=label, regime=regime, **graph_cols[label],
+             method=method, source=s, param=param)
+        for label, g, s, gt, (regime, method, param), res
+        in _sweep(graphs, runs, n_sources=n_sources, seed=seed)
+    ])
 
 
 # ------------------------------------------------------ Table 1 (complexity)
@@ -292,44 +288,50 @@ def table1_complexity(
     """
     if impl not in ("batch", "sequential"):
         raise ValueError(f"unknown impl: {impl!r}")
-    rows = []
-    for name, g in graphs.items():
-        csr = g.csr
-        # regime -> (EdgePush mode, tol, LocalPush θ, EdgePush θ per edge, predicted ratio)
-        regimes = {
-            "l1": ("l1", eps, eps / csr.norm_a(), th.theta_l1(csr, eps),
-                   U.l1_improvement(csr, alpha=ALPHA)),
-            "add": ("additive", rmax, rmax, th.theta_additive(csr, rmax),
-                    U.additive_improvement(csr, alpha=ALPHA)),
+    # label -> regime -> (EdgePush mode, tol, LocalPush θ, EdgePush θ per edge, predicted ratio)
+    regimes = {
+        label: {
+            "l1": ("l1", eps, eps / g.csr.norm_a(), th.theta_l1(g.csr, eps),
+                   U.l1_improvement(g.csr, alpha=ALPHA)),
+            "add": ("additive", rmax, rmax, th.theta_additive(g.csr, rmax),
+                    U.additive_improvement(g.csr, alpha=ALPHA)),
         }
-        work = {r: np.zeros(2, dtype=np.int64) for r in regimes}  # (LP, EP) sums
-        bound = {r: np.zeros(2) for r in regimes}
-        srcs = g.sample_sources(n_sources, seed=seed)
-        for s in srcs:
-            gt = ground_truth(csr, s, alpha=ALPHA)
-            for r, (mode, tol, lp_theta, ep_theta, _) in regimes.items():
-                if impl == "sequential":
-                    lp = sequential_local_push(csr, s, alpha=ALPHA, theta=lp_theta)
-                    ep = sequential_edge_push(csr, s, ep_theta, alpha=ALPHA)
-                else:
-                    lp = local_push(g, s, alpha=ALPHA, theta=lp_theta)
-                    ep = edge_push(g, s, alpha=ALPHA, mode=mode, tol=tol)
-                for method, res in (("LocalPush", lp), ("EdgePush", ep)):
-                    _refuse_truncated(res, {"graph": name, "method": method,
-                                            "source": s, "regime": r})
-                work[r] += (lp.cost.edge_touches, ep.cost.edge_touches)
-                bound[r] += (
-                    th.localpush_source_cost(csr, gt, alpha=ALPHA, theta=lp_theta),
-                    th.edgepush_source_cost(csr, gt, ep_theta, alpha=ALPHA),
-                )
-        k = len(srcs)
-        row = {"graph": name, "n": csr.n, "2m": csr.nnz,
+        for label, g in graphs.items()
+    }
+
+    def runs(label, g):
+        csr = g.csr
+        for r, (mode, tol, lp_theta, ep_theta, _) in regimes[label].items():
+            if impl == "sequential":
+                lp = partial(sequential_local_push, csr, alpha=ALPHA, theta=lp_theta)
+                ep = partial(sequential_edge_push, csr, theta_edge=ep_theta, alpha=ALPHA)
+            else:
+                lp = partial(local_push, g, alpha=ALPHA, theta=lp_theta)
+                ep = partial(edge_push, g, alpha=ALPHA, mode=mode, tol=tol)
+            yield (r, "LocalPush",
+                   partial(th.localpush_source_cost, csr, alpha=ALPHA, theta=lp_theta), lp)
+            yield (r, "EdgePush",
+                   partial(th.edgepush_source_cost, csr, theta_edge=ep_theta, alpha=ALPHA), ep)
+
+    # (label, regime, method) -> work and bound summed over the sources
+    work, bound = defaultdict(np.int64), defaultdict(np.float64)
+    for label, _, s, gt, (r, method, source_cost), res in _sweep(
+        graphs, runs, n_sources=n_sources, seed=seed
+    ):
+        _refuse_truncated(res, {"graph": label, "method": method, "source": s, "regime": r})
+        work[label, r, method] += res.cost.edge_touches
+        bound[label, r, method] += source_cost(gt)
+    rows = []
+    for label, g in graphs.items():
+        csr = g.csr
+        row = {"graph": label, "n": csr.n, "2m": csr.nnz,
                "cos2_phi": round(U.cos2_phi(csr), 4)}
-        for r, (*_, predicted) in regimes.items():
-            (lp_w, ep_w), (lp_b, ep_b) = work[r], bound[r] / k
+        for r, (*_, predicted) in regimes[label].items():
+            lp_w, ep_w = (work[label, r, m] for m in ("LocalPush", "EdgePush"))
+            lp_b, ep_b = (bound[label, r, m] / n_sources for m in ("LocalPush", "EdgePush"))
             row |= {
-                f"lp_work_{r}": lp_w // k,
-                f"ep_work_{r}": ep_w // k,
+                f"lp_work_{r}": lp_w // n_sources,
+                f"ep_work_{r}": ep_w // n_sources,
                 f"lp_bound_{r}": round(lp_b, 1),
                 f"ep_bound_{r}": round(ep_b, 1),
                 f"measured_ratio_{r}": round(ep_w / max(lp_w, 1), 4),

@@ -60,7 +60,7 @@ def edge_push(
     r, out)`` as pandas. Raises ``ValueError`` for α ∉ (0,1), a source that
     is not a node with edges, or ``tol`` ≤ 0 or NaN.
     """
-    check_query(graph, source, alpha)
+    check_query(graph.csr, source, alpha)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
 

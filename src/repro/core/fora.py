@@ -86,7 +86,7 @@ def monte_carlo(
     p_f), each weighted 1/ω. Raises ``ValueError`` for α ∉ (0,1), a source
     that is not a node with edges or walk parameters :func:`walk_count`
     refuses."""
-    check_query(graph, source, alpha)
+    check_query(graph.csr, source, alpha)
     return _walk_phase(
         graph,
         PPRResult(estimate=np.zeros(graph.n), cost=CostStats()),

@@ -53,7 +53,7 @@ def local_push(
     every node with residue, the Power Method. Raises ``ValueError`` for
     α ∉ (0,1), a source that is not a node with edges, or θ < 0 or NaN.
     """
-    check_query(graph, source, alpha)
+    check_query(graph.csr, source, alpha)
     if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
 

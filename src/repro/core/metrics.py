@@ -27,7 +27,10 @@ def max_add_err(est: np.ndarray, gt: np.ndarray) -> float:
 
 
 def normalized_max_add_err(est: np.ndarray, gt: np.ndarray, deg: np.ndarray) -> float:
-    return float((np.abs(est - gt) / deg).max())
+    """max over nodes with d(u) > 0: a node without edges has π = π̂ = 0
+    under every method, and 0/0 would make the maximum NaN."""
+    has_edges = deg > 0
+    return float((np.abs(est - gt)[has_edges] / deg[has_edges]).max())
 
 
 def precision_at_k(

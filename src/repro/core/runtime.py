@@ -41,7 +41,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.graph import WeightedGraph
+from repro.graphs.graph import CSR
 
 DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
 
@@ -128,16 +128,16 @@ def state_checkpoint(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
-def check_query(graph: WeightedGraph, source: int, alpha: float) -> None:
+def check_query(csr: CSR, source: int, alpha: float) -> None:
     """Reject α ∉ (0,1), a source that is not an integer in [0, n) and a
     source with no edges, from the graph's CSR and without a Spark job."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not isinstance(source, (int, np.integer)) or isinstance(source, bool):
         raise ValueError(f"source must be an integer node id, got {source!r}")
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} is not a node id in [0, {graph.n})")
-    if graph.csr.deg[source] == 0:
+    if not 0 <= source < csr.n:
+        raise ValueError(f"source {source} is not a node id in [0, {csr.n})")
+    if csr.deg[source] == 0:
         raise ValueError("the source has no edges")
 
 

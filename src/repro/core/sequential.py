@@ -32,7 +32,7 @@ from collections import deque
 import numpy as np
 import pandas as pd
 
-from repro.core.runtime import CostStats, PPRResult
+from repro.core.runtime import CostStats, PPRResult, check_query
 from repro.graphs.graph import CSR
 
 
@@ -46,9 +46,11 @@ def sequential_local_push(
     incident edges — the inefficiency EdgePush removes on unbalanced graphs.
     The result's ``state`` is ``(node, r)`` over all n nodes, and
     ``converged`` is False when the run stopped at ``max_pushes`` with the
-    queue not empty. Raises ``ValueError`` for θ ≤ 0 or NaN, which push
-    zero mass until the cap.
+    queue not empty. Raises ``ValueError`` for α ∉ (0,1), a source that is
+    not a node with edges, or θ ≤ 0 or NaN, which push zero mass until the
+    cap.
     """
+    check_query(csr, source, alpha)
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     r = np.zeros(csr.n)
@@ -90,14 +92,16 @@ def sequential_edge_push(
     ``k_u(v) = (Q_uv + θ(u,v)) / A_uv`` (Eq. 8); a global list of nodes with
     ``K_u = -(1-α)q(u)/d(u) + Q(u).top ≤ 0`` (Eq. 9). An edge ⟨u,v⟩ is a
     candidate iff its residue ``R_uv = (1-α)q(u)A_uv/d(u) - Q_uv ≥ θ(u,v)``
-    (Observation 1). ``θ_edge`` is indexed like the CSR's directed edges;
-    raises ``ValueError`` unless it has one θ > 0 per directed edge.
+    (Observation 1). ``θ_edge`` is indexed like the CSR's directed edges.
+    Raises ``ValueError`` for α ∉ (0,1), a source that is not a node with
+    edges, or unless ``θ_edge`` has one θ > 0 per directed edge.
 
     The result's ``state`` is ``(src, dst, r, out)`` in CSR order, with
     ``r = R_uv`` and ``out = Q_uv``, the residue pushed along the edge, and
     ``converged`` is False when the run stopped at ``max_pushes`` with work
     left.
     """
+    check_query(csr, source, alpha)
     deg, indptr, indices, w = csr.deg, csr.indptr, csr.indices, csr.weights
     theta_edge = np.asarray(theta_edge, dtype=np.float64)
     if theta_edge.shape != (csr.nnz,) or not np.all(theta_edge > 0):

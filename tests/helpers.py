@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from repro.graphs import generators as gen
 from repro.graphs.graph import WeightedGraph
@@ -39,6 +40,27 @@ def triangle(spark, *, weights=(1.0, 1.0, 1.0)) -> WeightedGraph:
         spark,
         pd.DataFrame({"src": [0, 1, 0], "dst": [1, 2, 2], "weight": list(weights)}),
     )
+
+
+def edge_and_isolated(spark) -> WeightedGraph:
+    """Nodes 0–1 joined by one edge and node 2 with no edges."""
+    return WeightedGraph.from_undirected_pandas(
+        spark, pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]}), n=3
+    )
+
+
+# (source, α) queries that every SSPPR method refuses on
+# ``edge_and_isolated``: node 2 has no edges and 3 = n is not a node
+DEGENERATE_QUERIES = [
+    pytest.param(2, 0.2, id="isolated"),
+    pytest.param(3, 0.2, id="n"),
+    pytest.param(-1, 0.2, id="negative"),
+    pytest.param(1.5, 0.2, id="float"),
+    pytest.param(np.float64(1.0), 0.2, id="np-float"),
+    pytest.param(True, 0.2, id="bool"),
+    pytest.param(0, 0.0, id="alpha0"),
+    pytest.param(0, 1.0, id="alpha1"),
+]
 
 
 def star(spark, n: int = 40) -> WeightedGraph:

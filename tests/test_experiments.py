@@ -41,14 +41,12 @@ def test_row_refuses_truncated_run(spark):
 class TestAdditiveTradeoff:
     @pytest.fixture(scope="class")
     def rows(self, spark):
-        g = get_graph(spark, "er_lognormal")
         return ex.additive_tradeoff(
-            g,
-            dataset="er",
-            sources=[0],
+            {"er": get_graph(spark, "er_lognormal")},
+            n_sources=1,
+            seed=0,
             rmax_grid=(1e-3,),
             delta_grid=(1e-1,),
-            seed=0,
         )
 
     def test_all_methods_present(self, rows):
@@ -71,11 +69,10 @@ class TestAdditiveTradeoff:
 class TestL1Tradeoff:
     @pytest.fixture(scope="class")
     def rows(self, spark):
-        g = get_graph(spark, "er_lognormal")
         return ex.l1_tradeoff(
-            g,
-            dataset="er",
-            sources=[0],
+            {"er": get_graph(spark, "er_lognormal")},
+            n_sources=1,
+            seed=0,
             eps_grid=(1e-1,),
             iters_grid=(4,),
         )
@@ -98,13 +95,63 @@ class TestL1Tradeoff:
 class TestUnbalanceSweep:
     def test_rows_and_ordering(self, spark):
         df = ex.unbalance_sweep(
-            spark, n=80, sources=1, rmax_grid=(1e-3,), eps_grid=(1e-1,), seed=0
+            spark, n=80, n_sources=1, rmax_grid=(1e-3,), eps_grid=(1e-1,), seed=0
         )
         assert set(df["method"]) == {"EdgePush-Add", "LocalPush", "EdgePush"}
         assert df["graph"].nunique() == 4
         # measured cos²φ increases across the four affinity graphs
         c = df.groupby("graph")["cos2_phi"].first()
         assert list(c.sort_index()) == sorted(c)
+
+
+class TestSweep:
+    """The sweep behind the harnesses: per graph, one ground truth per
+    sampled source, and each (method, param) run over all of the graph's
+    sources in a row."""
+
+    METHODS = ("edge_push", "local_push", "monte_carlo", "fora", "power_method")
+
+    @pytest.mark.parametrize(
+        "harness, grids, runs_per_source",
+        [
+            (ex.additive_tradeoff, {"rmax_grid": (1e-3,), "delta_grid": (1e-1,)}, 5),
+            (ex.l1_tradeoff, {"eps_grid": (1e-1,), "iters_grid": (4,)}, 3),
+        ],
+        ids=["additive", "l1"],
+    )
+    def test_sources_innermost(self, spark, monkeypatch, harness, grids, runs_per_source):
+        graphs = {name: get_graph(spark, name) for name in ("er_lognormal", "star")}
+        gt_calls, run_calls = [], []
+
+        def counted_ground_truth(csr, s, **kw):
+            gt_calls.append((id(csr), s))
+            return ground_truth(csr, s, **kw)
+
+        def recorded(name, method):
+            def run(g, s, **kw):
+                run_calls.append((id(g), name, repr(sorted(kw.items())), s))
+                return method(g, s, **kw)
+            return run
+
+        monkeypatch.setattr(ex, "ground_truth", counted_ground_truth)
+        for name in self.METHODS:
+            monkeypatch.setattr(ex, name, recorded(name, getattr(ex, name)))
+        rows = harness(graphs, n_sources=2, seed=0, **grids)
+
+        srcs = {label: g.sample_sources(2, seed=0) for label, g in graphs.items()}
+        assert len(rows) == len(graphs) * 2 * runs_per_source
+        assert sorted(gt_calls) == sorted(
+            {(id(g.csr), s) for label, g in graphs.items() for s in srcs[label]}
+        )
+        # the calls come in blocks of one run over one graph's sources, in order
+        blocks = [run_calls[i:i + 2] for i in range(0, len(run_calls), 2)]
+        assert len(blocks) == len(graphs) * runs_per_source
+        for label, g in graphs.items():
+            mine = [b for b in blocks if b[0][0] == id(g)]
+            assert len(mine) == runs_per_source
+            for block in mine:
+                assert len({call[:3] for call in block}) == 1
+                assert [call[3] for call in block] == srcs[label]
 
 
 class TestTable1Complexity:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import metrics as M
 from repro.core.power import ground_truth
 from repro.graphs import generators as gen
+from repro.graphs.graph import WeightedGraph
 
 from .helpers import build, get_graph
 
@@ -26,6 +27,15 @@ class TestVectorMetrics:
         b = np.array([0.4, 0.5])
         deg = np.array([10.0, 1.0])
         assert M.normalized_max_add_err(a, b, deg) == pytest.approx(0.01)
+
+    def test_normalized_max_add_err_skips_nodes_without_edges(self, spark):
+        """Node 3 has no edges, so π(3) = π̂(3) = 0 and its 0/0 is left out
+        of the maximum instead of making it NaN."""
+        pdf = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "weight": [1.0, 1.0]})
+        csr = WeightedGraph.from_undirected_pandas(spark, pdf, n=4).csr
+        gt = ground_truth(csr, 0, alpha=0.2)
+        assert M.normalized_max_add_err(gt, gt, csr.deg) == 0
+        assert M.normalized_max_add_err(np.zeros(4), gt, csr.deg) == (gt[:3] / csr.deg[:3]).max()
 
     def test_zero_for_identical(self):
         a = np.random.default_rng(0).random(50)

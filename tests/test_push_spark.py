@@ -24,9 +24,8 @@ from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
 from repro.core.runtime import state_checkpoint
 from repro.core.sequential import sequential_edge_push, sequential_local_push
-from repro.graphs.graph import WeightedGraph
 
-from .helpers import get_graph
+from .helpers import DEGENERATE_QUERIES, edge_and_isolated, get_graph
 
 ALPHA = 0.2
 SPARK_GRAPHS = ["two_node", "star", "er_lognormal", "complete_unbalanced"]
@@ -231,28 +230,14 @@ def test_exact_work(spark, graph_name, run):
 
 
 @pytest.mark.parametrize("method", [edge_push, local_push, power_method, monte_carlo])
-@pytest.mark.parametrize(
-    "source, alpha",
-    [
-        (2, ALPHA),
-        (3, ALPHA),
-        (-1, ALPHA),
-        (1.5, ALPHA),
-        (np.float64(1.0), ALPHA),
-        (True, ALPHA),
-        (0, 0.0),
-        (0, 1.0),
-    ],
-    ids=["isolated", "n", "negative", "float", "np-float", "bool", "alpha0", "alpha1"],
-)
+@pytest.mark.parametrize("source, alpha", DEGENERATE_QUERIES)
 def test_rejects_degenerate_query(spark, method, source, alpha):
     """Node 2 of this 3-node graph has no edges: its PPR is not defined by
     a push or a walk, so the query is refused instead of returning an
     empty or wrong estimate, from the graph's CSR before any Spark job. A
     source that is not an integer is not a node id, even when it is
     integral (1.0) or compares equal to one (True)."""
-    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
-    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    g = edge_and_isolated(spark)
     first = highest_job_id(spark)
     with pytest.raises(ValueError):
         method(g, source, alpha=alpha)
@@ -261,10 +246,9 @@ def test_rejects_degenerate_query(spark, method, source, alpha):
 
 def test_accepts_numpy_integer_source(spark):
     """A numpy integer is a node id like a Python int."""
-    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
-    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    g = edge_and_isolated(spark)
     for source in (np.int64(0), np.int32(1), np.uint8(0)):
-        runtime.check_query(g, source, ALPHA)
+        runtime.check_query(g.csr, source, ALPHA)
 
 
 @pytest.mark.parametrize(
@@ -443,8 +427,7 @@ def test_loop_scope_restores_session_conf(spark, method, source):
     the loop refuses a source with no edges (node 2)."""
     keys = ("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions")
     before = {k: spark.conf.get(k) for k in keys}
-    pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
-    g = WeightedGraph.from_undirected_pandas(spark, pdf, n=3)
+    g = edge_and_isolated(spark)
     if source == 2:
         with pytest.raises(ValueError, match="no edges"):
             method(g, source, alpha=ALPHA)

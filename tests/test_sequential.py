@@ -12,7 +12,7 @@ from repro.core.power import ground_truth
 from repro.core.runtime import PPRResult
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 
-from .helpers import GRAPH_BUILDERS, get_graph
+from .helpers import DEGENERATE_QUERIES, GRAPH_BUILDERS, edge_and_isolated, get_graph
 
 ALPHA = 0.2
 
@@ -208,3 +208,23 @@ def test_edge_push_rejects_bad_thresholds(spark, spoil):
     theta = spoil(th.theta_l1(csr, 0.1))
     with pytest.raises(ValueError):
         sequential_edge_push(csr, 0, theta, alpha=ALPHA, max_pushes=1000)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda csr, s, alpha: sequential_local_push(csr, s, alpha=alpha, theta=1e-3),
+        lambda csr, s, alpha: sequential_edge_push(
+            csr, s, np.full(csr.nnz, 1e-3), alpha=alpha
+        ),
+    ],
+    ids=["local", "edge"],
+)
+@pytest.mark.parametrize("source, alpha", DEGENERATE_QUERIES)
+def test_rejects_degenerate_query(spark, method, source, alpha):
+    """The references refuse the queries the Spark methods refuse, with a
+    ``ValueError`` naming the input: a negative source would wrap around to
+    the last node, an isolated one would return α·e_s, and α = 0 would push
+    until the cap."""
+    with pytest.raises(ValueError):
+        method(edge_and_isolated(spark).csr, source, alpha)
