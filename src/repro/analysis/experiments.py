@@ -109,7 +109,10 @@ def _sweep(graphs: dict[str, WeightedGraph], runs, *, n_sources: int, seed: int)
     compute π_s once per distinct source, then call every
     ``(*spec, source → PPRResult)`` of ``runs(label, graph)`` over all of
     the graph's sources in a row. Yields ``(label, graph, source, π_s,
-    spec, result)``."""
+    spec, result)``. Raises ``ValueError`` for ``n_sources`` < 1, whose
+    means over no source would be NaN."""
+    if n_sources < 1:
+        raise ValueError(f"n_sources must be >= 1, got {n_sources}")
     for label, g in graphs.items():
         srcs = g.sample_sources(n_sources, seed=seed)
         gts = {s: ground_truth(g.csr, s, alpha=ALPHA) for s in set(srcs)}
@@ -270,12 +273,12 @@ def table1_complexity(
     For each graph and regime (ℓ1 ε, additive r_max): run LocalPush and
     EdgePush over degree-sampled sources and report, each as a mean over
     the sources, the edge touches (``*_work_*``) next to the per-source
-    bounds ``*_bound_*``: Lemma 11 for LocalPush, Lemma 3 for EdgePush, at
-    the exact π_s. The measured EdgePush/LocalPush ratio sits next to the
-    predicted improvement factor (1-α)·cos²φ (ℓ1) or (1-α)/2m·Σn_v·cos²φ_v
-    (additive). LocalPush runs with θ = ε/‖A‖₁ or r_max, EdgePush with the
+    bounds ``*_bound_*``: Lemma 3 at the exact π_s and each algorithm's
+    per-edge threshold, which for LocalPush is Lemma 11. The measured
+    EdgePush/LocalPush ratio sits next to the predicted improvement factor
+    (1-α)·cos²φ (ℓ1) or (1-α)/2m·Σn_v·cos²φ_v (additive). LocalPush runs with θ = ε/‖A‖₁ or r_max, EdgePush with the
     Theorem-2 or Theorem-3 thresholds. Raises ``ValueError`` for a run
-    stopped at its cap.
+    stopped at its cap or ``n_sources`` < 1.
 
     ``impl`` picks the schedule being measured. ``"batch"`` (default) uses
     the bulk-synchronous Spark implementations, where both algorithms
@@ -308,10 +311,10 @@ def table1_complexity(
             else:
                 lp = partial(local_push, g, alpha=ALPHA, theta=lp_theta)
                 ep = partial(edge_push, g, alpha=ALPHA, mode=mode, tol=tol)
+            bound = partial(th.edgepush_source_cost, csr, alpha=ALPHA)
             yield (r, "LocalPush",
-                   partial(th.localpush_source_cost, csr, alpha=ALPHA, theta=lp_theta), lp)
-            yield (r, "EdgePush",
-                   partial(th.edgepush_source_cost, csr, theta_edge=ep_theta, alpha=ALPHA), ep)
+                   partial(bound, theta_edge=th.theta_local(csr, lp_theta, alpha=ALPHA)), lp)
+            yield r, "EdgePush", partial(bound, theta_edge=ep_theta), ep
 
     # (label, regime, method) -> work and bound summed over the sources
     work, bound = defaultdict(np.int64), defaultdict(np.float64)

@@ -19,23 +19,15 @@ in numpy over the terminal state the loop collects, and the estimate is
 which is precisely the quantity Lemma 3 bounds.
 
 The superstep, with the §6.2 scan switch over the 2m edges, is
-:func:`repro.core.runtime.push_supersteps` keyed by ``src``; this module
-supplies the edge granularity: v's income ``Σ r`` over pushed in-edges
-feeds each out-edge ``⟨v,w⟩`` with ``(1-α)·inc·p``.
+:func:`repro.core.runtime.push_supersteps`; this module supplies the
+Theorem-2/3 thresholds and a push unit of 1 per edge.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.runtime import (
-    CostStats,
-    PPRResult,
-    check_query,
-    few_shuffle_partitions,
-    push_supersteps,
-)
+from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
 from repro.core.thresholds import thresholds_df
 from repro.graphs.graph import WeightedGraph
 
@@ -64,33 +56,17 @@ def edge_push(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
 
-    p = F.col("p")
-    income = F.sum("r").alias("inc")
-
-    def send(pushed: DataFrame) -> DataFrame:
-        # the income v receives feeds v's out-edges: rename dst to src to join
-        return pushed.groupBy("dst").agg(income).withColumnRenamed("dst", "src")
-
-    with few_shuffle_partitions(graph.spark):
-        # initial residues: R_sv = (1-α)·A_sv/d(s) on the source's out-edges
-        edges = thresholds_df(graph, mode=mode, tol=tol).select(
-            "src", "dst", "p", "theta",
-            F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
-            F.lit(0.0).alias("out"),
-        )
-        cost = CostStats()
-        edges, converged = push_supersteps(
-            edges,
-            cost,
-            key="src",
-            send=send,
-            received=(1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p,
-            threshold=F.col("theta"),
-            touches=F.lit(1),
-            scan_size=graph.csr.nnz,
-            scan_frac=scan_frac,
-            max_supersteps=max_supersteps,
-        )
+    cost = CostStats()
+    edges, converged = push_supersteps(
+        thresholds_df(graph, mode=mode, tol=tol).select("src", "dst", "p", "theta"),
+        cost,
+        source=source,
+        alpha=alpha,
+        unit=F.lit(1),
+        scan_size=graph.csr.nnz,
+        scan_frac=scan_frac,
+        max_supersteps=max_supersteps,
+    )
     # π̂(v) = α·q(v), q(v) = [v=s] + Σ_u out(u,v)
     q = np.bincount(edges["dst"], weights=edges["out"], minlength=graph.n)
     q[source] += 1.0

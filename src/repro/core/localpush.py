@@ -7,31 +7,31 @@ a set S applies each node's push on its pre-superstep residue, which
 composes to a valid sequence of (partial) pushes, so Lemma 1's invariant —
 and therefore Fact 1/2's error bounds at termination — hold unchanged.
 
-Work accounting matches the paper's: each pushed node u costs n(u) edge
-touches (the node-granular push must write *every* incident edge — the
-inefficiency EdgePush removes).
+Write u's residue on its edges as R_uv = (1-α)·r(u)·A_uv/d(u), the mass a
+push of u sends along ⟨u,v⟩. The node test then holds on every edge of u at
+once exactly when R_uv ≥ (1-α)·θ·A_uv
+(:func:`repro.core.thresholds.theta_local`), and the income a node receives
+feeds its out-edges as EdgePush's does: batch LocalPush is batch EdgePush at
+that threshold. So the superstep, with the PowForPush scan switch over the
+n nodes (a scan superstep is a power-iteration pass, cost ≈ 2m), is
+:func:`repro.core.runtime.push_supersteps` with one push per node: its unit
+is 1 on each node's first CSR edge. Work accounting matches the paper's:
+each pushed node u costs n(u) edge touches, one per edge it writes (the
+inefficiency EdgePush removes), and Lemma 11's bound is Lemma 3's at that
+threshold.
 
-The superstep, with the PowForPush scan switch over the n nodes (a scan
-superstep is a power-iteration pass, cost ≈ 2m), is
-:func:`repro.core.runtime.push_supersteps` keyed by ``node``; this module
-supplies the node granularity: a pushed u sends ``(1-α)·r(u)·p(u,v)`` to
-every neighbour v. State ``(node, deg, nbrs, r, out)``; ``π̂ = α·out``,
-computed in numpy over the terminal state the loop collects.
+The per-node state ``(node, r, out)`` is numpy over the terminal edge state
+the loop collects: a node's r and pushed mass are its edges' sums divided by
+(1-α), since Σ_v A_uv/d(u) = 1, and ``π̂ = α·out``.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
+import pandas as pd
 from pyspark.sql import functions as F
 
-from repro.core.runtime import (
-    CostStats,
-    PPRResult,
-    check_query,
-    few_shuffle_partitions,
-    push_supersteps,
-    state_checkpoint,
-)
+from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
+from repro.core.thresholds import theta_local
 from repro.graphs.graph import WeightedGraph
 
 
@@ -48,44 +48,38 @@ def local_push(
 
     ``θ = ε/‖A‖₁`` gives ℓ1-error ≤ ε (Fact 1); ``θ = r_max`` gives
     normalized additive error ≤ r_max (Fact 2). The result's ``state`` is
-    the terminal per-node state ``(node, deg, nbrs, r, out)`` as pandas:
-    FORA/SpeedPPR compensate its residual with random walks. θ = 0 pushes
-    every node with residue, the Power Method. Raises ``ValueError`` for
-    α ∉ (0,1), a source that is not a node with edges, or θ < 0 or NaN.
+    the terminal per-node state ``(node, r, out)`` over all n nodes as
+    pandas: FORA/SpeedPPR compensate its residual with random walks. θ = 0
+    pushes every node with residue, the Power Method. Raises ``ValueError``
+    for α ∉ (0,1), a source that is not a node with edges, or θ < 0 or NaN.
+
+    Scan supersteps and θ = 0 push every edge with R_uv > 0. Where
+    (1-α)·inc·p underflows to 0 on an edge of a node that still holds
+    residue (weights down to ~1e-300), that edge is neither pushed nor
+    booked; it carries no mass, so every bound holds, but such a run's
+    pushes and touches can fall below a node-level replay's.
     """
     check_query(graph.csr, source, alpha)
     if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
 
-    r = F.col("r")
-    message = [F.col("dst").alias("node"), ((1.0 - alpha) * r * F.col("p")).alias("inc")]
-    income = F.sum("inc").alias("inc")
-
-    def send(pushed: DataFrame) -> DataFrame:
-        return pushed.join(tedges, "node").select(*message).groupBy("node").agg(income)
-
-    with few_shuffle_partitions(graph.spark):
-        # materialized once per query, keyed and partitioned like the state
-        tedges = state_checkpoint(
-            graph.transition.selectExpr("src AS node", "dst", "p").repartition("node")
-        )
-        state = graph.degrees.select(
-            "node", "deg", "nbrs",
-            F.when(F.col("node") == source, 1.0).otherwise(0.0).alias("r"),
-            F.lit(0.0).alias("out"),
-        )
-        cost = CostStats()
-        state, converged = push_supersteps(
-            state,
-            cost,
-            key="node",
-            send=send,
-            received=F.coalesce(F.col("inc"), F.lit(0.0)),
-            threshold=F.col("deg") * F.lit(theta),
-            touches=F.col("nbrs"),
-            scan_size=graph.n,
-            scan_frac=scan_frac,
-            max_supersteps=max_supersteps,
-        )
-    est = np.bincount(state["node"], alpha * state["out"], minlength=graph.n)
-    return PPRResult(estimate=est, cost=cost, converged=converged, state=state)
+    csr = graph.csr
+    edges = graph.edge_frame(
+        theta=theta_local(csr, theta, alpha=alpha),
+        head=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),  # u's first edge
+    ).select("src", "dst", "p", "theta", "head")
+    cost = CostStats()
+    edges, converged = push_supersteps(
+        edges,
+        cost,
+        source=source,
+        alpha=alpha,
+        unit=F.col("head"),
+        scan_size=graph.n,
+        scan_frac=scan_frac,
+        max_supersteps=max_supersteps,
+    )
+    src = edges["src"].to_numpy()
+    r, out = (np.bincount(src, edges[c], minlength=graph.n) / (1.0 - alpha) for c in ("r", "out"))
+    state = pd.DataFrame({"node": np.arange(graph.n), "r": r, "out": out})
+    return PPRResult(estimate=alpha * out, cost=cost, converged=converged, state=state)

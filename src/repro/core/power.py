@@ -7,13 +7,14 @@ The paper computes ground truths by running Power Method
   (bincount-based sparse mat-vec), used as the oracle for every PPR test
   and for the error axes of all experiment tables;
 - :func:`power_method` — the distributed baseline, run as LocalPush with
-  θ = 0: every node holding residue pushes in every superstep (Wu et al.'s
-  PowForPush observation). After L supersteps from π̂_0 = 0, r_0 = e_s,
-  π̂_L = α·Σ_{i<L}((1-α)P)^i·e_s and r_L = ((1-α)P)^L·e_s, so
-  π̂_L + r_L = π^{(L)}, the L-th iterate above. Each iteration is booked as
-  one Θ(m) pass, 2m pushes and 2m edge touches (the inefficiency the paper
-  contrasts local methods against), whatever the residue's support. The
-  iterate π̂_L + r_L is numpy over the terminal state the loop collects.
+  θ = 0: every node holding residue, i.e. every edge with residue, pushes
+  in every superstep (Wu et al.'s PowForPush observation). After L
+  supersteps from π̂_0 = 0, r_0 = e_s, π̂_L = α·Σ_{i<L}((1-α)P)^i·e_s and
+  r_L = ((1-α)P)^L·e_s, so π̂_L + r_L = π^{(L)}, the L-th iterate above.
+  Each iteration is booked as one Θ(m) pass, 2m pushes and 2m edge touches
+  (the inefficiency the paper contrasts local methods against), whatever
+  the residue's support. The iterate π̂_L + r_L is numpy over LocalPush's
+  per-node state.
 """
 from __future__ import annotations
 

@@ -16,13 +16,14 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   session values afterwards (the session is shared with other tests).
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
-EdgePush, LocalPush and the Power Method and owns the superstep's update;
-each method supplies only its granularity: state and key, what a push sends
-and a unit receives, threshold and per-push touches. A superstep is one Spark
-job: the checkpoint that materializes the new state also counts its
-candidates. Every Column a superstep uses is built once per query, before
-the loop, so a superstep only chains Dataset calls on the driver. One
-collect of the terminal state ends the loop; what follows it is numpy.
+EdgePush, LocalPush and the Power Method. It owns the edge state and the
+superstep's update; each method supplies only its per-edge threshold
+θ(u,v) and push unit (LocalPush is EdgePush at θ(u,v) = (1-α)·θ·A_uv with
+one push per node). A superstep is one Spark job: the checkpoint that
+materializes the new state also counts its candidates. Every Column a
+superstep uses is built once per query, before the loop, so a superstep
+only chains Dataset calls on the driver. One collect of the terminal state
+ends the loop; what follows it is numpy.
 
 :class:`PPRResult` is what every SSPPR method returns, and
 :class:`CostStats` is the machine-independent work metric inside it: the
@@ -89,9 +90,9 @@ class PPRResult:
     does not hold for ``estimate``. ``state`` is the terminal state of a
     push run as pandas, ``None`` for the walk methods and the Power Method:
     batch EdgePush ``(src, dst, p, theta, r, out)``, batch LocalPush
-    ``(node, deg, nbrs, r, out)``, sequential EdgePush ``(src, dst, r,
-    out)`` in CSR order and sequential LocalPush ``(node, r)`` over all
-    nodes; ``out`` is the residue pushed so far.
+    ``(node, r, out)`` and sequential LocalPush ``(node, r)`` over all n
+    nodes, and sequential EdgePush ``(src, dst, r, out)`` in CSR order;
+    ``out`` is the residue pushed so far.
     """
 
     estimate: np.ndarray  # π̂ per node
@@ -100,7 +101,10 @@ class PPRResult:
     state: pd.DataFrame | None = None
 
     def vector(self, n: int) -> np.ndarray:
-        """π̂ over the ``n`` nodes: the estimate itself."""
+        """π̂ over the ``n`` nodes: the estimate itself. Nothing in the
+        program calls it; the benchmark's correctness checker
+        (``perfbench/run.py``) does, so it stays until that checker reads
+        ``estimate``."""
         return self.estimate
 
 
@@ -142,64 +146,69 @@ def check_query(csr: CSR, source: int, alpha: float) -> None:
 
 
 def push_supersteps(
-    state: DataFrame,
+    edges: DataFrame,
     cost: CostStats,
     *,
-    key: str,
-    send: Callable[[DataFrame], DataFrame],
-    received: Column,
-    threshold: Column,
-    touches: Column,
+    source: int,
+    alpha: float,
+    unit: Column,
     scan_size: int,
     scan_frac: float | None,
     max_supersteps: int,
 ) -> tuple[pd.DataFrame, bool]:
-    """Run a batch push to termination; return the final state, collected
-    to the driver as pandas, and whether the run converged.
+    """Run a batch edge push from ``source`` to termination; return the
+    final edge state, collected to the driver as pandas, and whether the run
+    converged.
 
-    ``state`` holds one row per push unit (an edge for EdgePush, a node for
-    LocalPush) keyed by ``key``, with its residue ``r`` and ``out``, the
-    residue it has pushed so far; ``threshold`` and ``touches`` (edge
-    touches one push of that unit costs) are columns over it. Each
-    superstep simultaneously pushes every candidate ``r ≥ threshold``: its
-    pre-superstep ``r`` moves to ``out``, ``send`` maps the pushed rows to
-    the income ``(key, inc)``, and every row's ``r`` gains ``received``, a
-    column over the left-joined ``inc``. The strict ``r > 0`` guard keeps
-    zero residues from ever being candidates, even where a threshold
-    underflows to 0; pushing zero mass is a no-op.
+    ``edges`` holds the static edge columns, at least ``(src, dst, p,
+    theta)``; the state adds the residue ``r``, (1-α)·p on the source's
+    out-edges, and ``out``, the residue pushed along the edge so far. Each
+    superstep simultaneously pushes every candidate ``r ≥ theta``: its
+    pre-superstep ``r`` moves to ``out``, the pushed ``r`` summed by ``dst``
+    is the income inc, and every edge ⟨v,w⟩ gains (1-α)·inc(v)·p. The strict
+    ``r > 0`` guard keeps zero residues from ever being candidates, even
+    where a threshold is or underflows to 0. A pushed edge is one edge
+    touch; ``unit``, a column over the edges, is the pushes it books.
 
-    Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates
-    outnumber ``scan_frac · scan_size`` units, the superstep pushes *every*
-    unit with r > 0, a sequential pass over the residue array, instead of
-    only the candidates; pushes and touches are booked for what is pushed.
+    Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates' units
+    outnumber ``scan_frac · scan_size``, the superstep pushes *every* edge
+    with r > 0, a sequential pass over the residue array, instead of only
+    the candidates; pushes and touches are booked for what is pushed.
 
-    The state is partitioned by ``key``, so a superstep shuffles only the
-    income, and checkpointed initially and after every superstep; the
-    checkpoint's own job also computes, as observed metrics
-    (``DataFrame.observe``), the next superstep's candidate count and
-    touches, and the same for r > 0. So a superstep is one Spark job. The
-    run stops when no candidates are left, or unconverged after
+    In :func:`few_shuffle_partitions`, the state is partitioned by ``src``,
+    so a superstep shuffles only the income, and checkpointed initially and
+    after every superstep; the checkpoint's own job also computes, as
+    observed metrics (``DataFrame.observe``), the next superstep's candidate
+    edges and units, and the same for r > 0. So a superstep is one Spark
+    job. The run stops when no edge is a candidate, or unconverged after
     ``max_supersteps``; ``cost`` brackets the loop, and one job after it
     collects the terminal state.
     """
-    r, out = F.col("r"), F.col("out")
-    is_cand = (r >= threshold) & (r > 0)
+    r, out, p = F.col("r"), F.col("out"), F.col("p")
+    is_cand = (r >= F.col("theta")) & (r > 0)
     nonzero = r > 0
     counts = (
         F.sum(is_cand.cast("long")).alias("n_cand"),
-        F.sum(F.when(is_cand, touches).otherwise(0)).alias("cand_touches"),
+        F.sum(F.when(is_cand, unit).otherwise(0)).alias("cand_units"),
         F.sum(nonzero.cast("long")).alias("n_nz"),
-        F.sum(F.when(nonzero, touches).otherwise(0)).alias("nz_touches"),
+        F.sum(F.when(nonzero, unit).otherwise(0)).alias("nz_units"),
     )
-    kept = [F.col(c) for c in state.columns if c not in ("r", "out")]
+    static = [F.col(c) for c in edges.columns]
+    income = F.sum("r").alias("inc")
+    received = (1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p
 
     def step(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
         columns = [
-            *kept,
+            *static,
             (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
             (out + F.when(push_cond, r).otherwise(0.0)).alias("out"),
         ]
-        return lambda s: s.join(send(s.filter(push_cond)), key, "left").select(*columns)
+        # the income v receives feeds v's out-edges: rename dst to src to join
+        return lambda s: s.join(
+            s.filter(push_cond).groupBy("dst").agg(income).withColumnRenamed("dst", "src"),
+            "src",
+            "left",
+        ).select(*columns)
 
     def counted_checkpoint(df: DataFrame) -> tuple[DataFrame, dict]:
         obs = Observation()
@@ -208,16 +217,22 @@ def push_supersteps(
 
     cand_step = step(is_cand)
     scan_step = step(nonzero) if scan_frac is not None else None
-    state, agg = counted_checkpoint(state.repartition(key))
-    cost.start()
-    for _ in range(max_supersteps):
-        if not agg["n_cand"]:
-            break
-        scan = scan_frac is not None and agg["n_cand"] > scan_frac * scan_size
-        cost.add_superstep(
-            pushes=agg["n_nz"] if scan else agg["n_cand"],
-            edge_touches=agg["nz_touches"] if scan else agg["cand_touches"],
-        )
-        state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
-    cost.stop()
-    return state.toPandas(), not agg["n_cand"]
+    state = edges.select(
+        *static,
+        F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
+        F.lit(0.0).alias("out"),
+    )
+    with few_shuffle_partitions(edges.sparkSession):
+        state, agg = counted_checkpoint(state.repartition("src"))
+        cost.start()
+        for _ in range(max_supersteps):
+            if not agg["n_cand"]:
+                break
+            scan = scan_frac is not None and agg["cand_units"] > scan_frac * scan_size
+            cost.add_superstep(
+                pushes=agg["nz_units"] if scan else agg["cand_units"],
+                edge_touches=agg["n_nz"] if scan else agg["n_cand"],
+            )
+            state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
+        cost.stop()
+        return state.toPandas(), not agg["n_cand"]

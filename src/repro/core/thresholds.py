@@ -7,13 +7,17 @@ derives Cauchy–Schwarz-optimal settings:
 - normalized additive error r_max (Theorem 3):
                             θ(u,v) = r_max·d(v)·√A_uv / Σ_{x∈N(v)} √A_xv
 
-Both are numpy arrays over the CSR's directed edges; the sequential
+LocalPush's node threshold d(u)·θ is the per-edge threshold
+θ(u,v) = (1-α)·θ·A_uv on its edge residues (:func:`theta_local`).
+
+All three are numpy arrays over the CSR's directed edges; the sequential
 reference reads them directly and :func:`thresholds_df` attaches them to
 the edges as a Spark DataFrame for the distributed batch EdgePush.
 
-Each push algorithm has one cost bound, per source s with PPR vector π_s:
-Lemma 11 for LocalPush and Lemma 3 for EdgePush. The Table-1 experiment
-checks measured work against them. The expected cost over a degree-sampled
+One cost bound serves both push algorithms, per source s with PPR vector
+π_s: Lemma 3's :func:`edgepush_source_cost`, which at :func:`theta_local`
+is Lemma 11's bound for LocalPush term for term. The Table-1 experiment
+checks measured work against it. The expected cost over a degree-sampled
 source is the same bound at the stationary vector π̄ = d/‖A‖₁, the mean of
 π_s under that distribution.
 """
@@ -53,6 +57,14 @@ def theta_additive(csr: CSR, rmax: float) -> np.ndarray:
     return np.maximum(rmax * csr.deg[v] * sq / s_per_node[v], THETA_FLOOR)
 
 
+def theta_local(csr: CSR, theta: float, *, alpha: float) -> np.ndarray:
+    """LocalPush's node test r(u) ≥ d(u)·θ as a per-edge threshold
+    (1-α)·θ·A_uv on its edge residues R_uv = (1-α)·r(u)·A_uv/d(u). No
+    floor: θ = 0 is the Power Method, which pushes every edge with
+    residue."""
+    return (1.0 - alpha) * theta * csr.weights
+
+
 # ------------------------------------------------------------ Spark builder
 _THETAS = {"l1": theta_l1, "additive": theta_additive}
 
@@ -69,17 +81,12 @@ def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
 
 
 # ------------------------------------------------------------ Table-1 cost bounds
-def localpush_source_cost(csr: CSR, pi: np.ndarray, *, alpha: float, theta: float) -> float:
-    """Lemma 11's per-source bound Σ_u n(u)·π(u)/(α·θ·d(u)), summed over the
-    directed edges ⟨u,v⟩ so that a node without edges adds nothing."""
-    u = csr.src
-    return float(np.sum(pi[u] / (alpha * theta * csr.deg[u])))
-
-
 def edgepush_source_cost(
     csr: CSR, pi: np.ndarray, theta_edge: np.ndarray, *, alpha: float
 ) -> float:
-    """Lemma 3's per-source bound Σ_Ē (1-α)·π(u)·A_uv/(α·d(u)·θ(u,v))."""
+    """Lemma 3's per-source bound Σ_Ē (1-α)·π(u)·A_uv/(α·d(u)·θ(u,v)). At
+    :func:`theta_local` it is Lemma 11's Σ_u n(u)·π(u)/(α·θ·d(u)), summed
+    over the directed edges so that a node without edges adds nothing."""
     u = csr.src
     return float(
         np.sum((1.0 - alpha) * pi[u] * csr.weights / (alpha * csr.deg[u] * theta_edge))

@@ -11,10 +11,10 @@ in ``repro.core``:
   the graph: the push loops' thresholds, 2m, ‖A‖₁, cos²φ, the numpy ground
   truth, the sequential references, the Monte-Carlo walker and the
   sweep-cut metric all read it;
-- a :class:`WeightedGraph` that holds the CSR and derives from it, once per
-  graph, the Spark DataFrames the distributed push loops start from: the
-  edges with transition probabilities ``p = A_uv / d(u)`` and the per-node
-  weighted degree ``d(u)`` and neighborhood size ``n(u)``.
+- a :class:`WeightedGraph` that holds the CSR and derives from it the
+  Spark DataFrame the distributed push loops start from: the edges with
+  transition probabilities ``p = A_uv / d(u)`` and per-edge columns such as
+  the thresholds.
 
 Every graph is built from an undirected edge list on the driver
 (:meth:`WeightedGraph.from_undirected_pandas`), which is where the input is
@@ -177,7 +177,9 @@ class WeightedGraph:
     @cached_property
     def degrees(self) -> DataFrame:
         """Per-node ``deg`` (weighted degree d(u)) and ``nbrs`` (n(u)), over
-        the nodes with edges."""
+        the nodes with edges. No algorithm reads it; the benchmark's traced
+        ``graphs.derive`` span (``perfbench/run.py``) does, so it stays until
+        that span goes."""
         c = self.csr
         nbrs = c.out_degree()
         node = np.flatnonzero(nbrs)

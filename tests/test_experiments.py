@@ -154,6 +154,22 @@ class TestSweep:
                 assert [call[3] for call in block] == srcs[label]
 
 
+    @pytest.mark.parametrize(
+        "harness, kwargs",
+        [
+            (ex.table1_complexity, {"impl": "sequential"}),
+            (ex.additive_tradeoff, {"rmax_grid": (1e-3,), "delta_grid": ()}),
+            (ex.l1_tradeoff, {"eps_grid": (1e-1,), "iters_grid": ()}),
+        ],
+        ids=["table1", "additive", "l1"],
+    )
+    def test_refuses_no_sources(self, spark, harness, kwargs):
+        """A mean over no source is NaN: Table 1 would report 0 work next to
+        NaN bounds and the trade-off sweeps an empty frame."""
+        with pytest.raises(ValueError, match="n_sources"):
+            harness({"star": get_graph(spark, "star")}, n_sources=0, **kwargs)
+
+
 class TestTable1Complexity:
     def test_ratios_sequential(self, spark):
         g = get_graph(spark, "star")

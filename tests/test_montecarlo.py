@@ -103,7 +103,7 @@ class TestMonteCarlo:
         g = get_graph(spark, "triangle")
         res = monte_carlo(g, 0, alpha=ALPHA, delta=3e-3, seed=2)
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
-        assert np.abs(res.vector(g.n) - gt).max() < 0.03
+        assert np.abs(res.estimate - gt).max() < 0.03
 
     def test_estimate_sums_to_one(self, spark):
         g = get_graph(spark, "er_lognormal")
@@ -127,7 +127,7 @@ class TestFora:
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         res = fora(g, 0, alpha=ALPHA, delta=1e-3, seed=6)
-        assert np.abs(res.vector(g.n) - gt).sum() < 0.15
+        assert np.abs(res.estimate - gt).sum() < 0.15
 
     def test_estimate_sums_near_one(self, spark):
         """Push reserve + walk repair accounts for all probability mass."""
@@ -196,7 +196,7 @@ class TestSpeedPPR:
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         rmax = 1e-3
         res = local_push(g, 0, alpha=ALPHA, theta=rmax, scan_frac=DEFAULT_SCAN_FRAC)
-        err = np.abs(res.vector(g.n) - gt) / g.csr.deg
+        err = np.abs(res.estimate - gt) / g.csr.deg
         assert err.max() <= rmax + 1e-9
 
     def test_powforpush_fewer_supersteps_when_scanning(self, spark):
@@ -211,7 +211,7 @@ class TestSpeedPPR:
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         res = fora(g, 0, alpha=ALPHA, delta=1e-3, scan_frac=DEFAULT_SCAN_FRAC, seed=10)
-        assert np.abs(res.vector(g.n) - gt).sum() < 0.15
+        assert np.abs(res.estimate - gt).sum() < 0.15
 
     def test_speedppr_mass_conserved(self, spark):
         g = get_graph(spark, "star")

@@ -75,7 +75,7 @@ class TestPowerMethodSpark:
         g = get_graph(spark, "er_lognormal")
         res = power_method(g, 0, iters=40)
         gt = ground_truth(g.csr, 0, iters=40)
-        assert np.abs(res.vector(g.n) - gt).max() < 1e-9
+        assert np.abs(res.estimate - gt).max() < 1e-9
 
     def test_l1_error_decays_geometrically(self, spark):
         """Power Method's ℓ1 error after L iters is ≤ (1-α)^L (§3)."""
@@ -83,7 +83,7 @@ class TestPowerMethodSpark:
         gt = ground_truth(g.csr, 0, iters=200)
         for iters in (3, 6):
             res = power_method(g, 0, iters=iters)
-            err = np.abs(res.vector(g.n) - gt).sum()
+            err = np.abs(res.estimate - gt).sum()
             assert err <= (1 - 0.2) ** iters + 1e-9
 
     def test_cost_is_m_per_iteration(self, spark):

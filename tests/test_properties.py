@@ -114,7 +114,9 @@ class TestTheoryProperties:
         eps = 0.01
         alpha = 0.2
         pi = stationary(csr)
-        lp = th.localpush_source_cost(csr, pi, alpha=alpha, theta=eps / csr.norm_a())
+        lp = th.edgepush_source_cost(
+            csr, pi, th.theta_local(csr, eps / csr.norm_a(), alpha=alpha), alpha=alpha
+        )
         ep = th.edgepush_source_cost(csr, pi, th.theta_l1(csr, eps), alpha=alpha)
         assert ep <= lp * (1 + 1e-9)
         assert ep / lp == pytest.approx((1 - alpha) * cos2_phi(csr), rel=1e-9)

@@ -75,7 +75,9 @@ class TestSequentialLocalPush:
         theta = 1e-4
         gt = ground_truth(csr, 0, alpha=ALPHA)
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=theta)
-        bound = th.localpush_source_cost(csr, gt, alpha=ALPHA, theta=theta)
+        bound = th.edgepush_source_cost(
+            csr, gt, th.theta_local(csr, theta, alpha=ALPHA), alpha=ALPHA
+        )
         # bound is on edge touches; allow the +n(u) slack of the final pushes
         assert res.cost.edge_touches <= bound + csr.nnz
 

@@ -1,20 +1,18 @@
 """Tests for the Theorem-2/3 threshold settings and Table-1 cost bounds."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core import thresholds as th
 from repro.core.power import ground_truth
-from repro.graphs.graph import WeightedGraph
 from repro.oracle import assert_equivalent
 
-from .helpers import GRAPH_BUILDERS, get_graph, stationary
+from .helpers import GRAPH_BUILDERS, edge_and_isolated, get_graph, stationary
 
 ALPHA = 0.2
 
 
 def lp_expected(csr, theta):
-    return th.localpush_source_cost(csr, stationary(csr), alpha=ALPHA, theta=theta)
+    return ep_expected(csr, th.theta_local(csr, theta, alpha=ALPHA))
 
 
 def ep_expected(csr, theta_edge):
@@ -129,15 +127,22 @@ class TestCostBounds:
         ep = ep_expected(csr, th.theta_additive(csr, rmax))
         assert ep <= lp + 1e-6
 
-    def test_localpush_bound_skips_isolated_nodes(self, spark):
-        """A node without edges has π = d = 0 and adds nothing to Lemma 11's
-        sum: on one unit edge plus an isolated node the bound is
-        (π(0)+π(1))/(α·θ) = 1/(α·θ), not NaN."""
-        pdf = pd.DataFrame({"src": [0], "dst": [1], "weight": [1.0]})
-        csr = WeightedGraph.from_undirected_pandas(spark, pdf, n=3).csr
+    @pytest.mark.parametrize("name", [*GRAPH_BUILDERS, "edge_and_isolated"])
+    def test_lemma11_is_lemma3_at_theta_local(self, spark, name):
+        """Lemma 11 as the paper writes it, Σ_u n(u)·π(u)/(α·θ·d(u)) over
+        the nodes with edges, is Lemma 3's bound at θ(u,v) = (1-α)·θ·A_uv.
+        A node without edges has π = d = 0 and adds nothing: on one unit
+        edge plus an isolated node the bound is 1/(α·θ), not NaN."""
+        g = edge_and_isolated(spark) if name == "edge_and_isolated" else get_graph(spark, name)
+        csr = g.csr
+        theta = 1e-3
         pi = ground_truth(csr, 0, alpha=ALPHA)
-        bound = th.localpush_source_cost(csr, pi, alpha=ALPHA, theta=1e-3)
-        assert bound == pytest.approx(1 / (ALPHA * 1e-3))
+        u = csr.deg > 0
+        lemma11 = np.sum(csr.out_degree()[u] * pi[u] / (ALPHA * theta * csr.deg[u]))
+        bound = th.edgepush_source_cost(csr, pi, th.theta_local(csr, theta, alpha=ALPHA), alpha=ALPHA)
+        assert bound == pytest.approx(lemma11, rel=1e-9)
+        if name == "edge_and_isolated":
+            assert bound == pytest.approx(1 / (ALPHA * theta), rel=1e-9)
 
     def test_expected_cost_formulas(self, spark):
         """Closed forms: on a unit-weight graph the ℓ1-regime ratio is

@@ -55,7 +55,9 @@ class TestCos2Phi:
         csr = any_graph.csr
         eps = 0.01
         pi = stationary(csr)
-        lp = th.localpush_source_cost(csr, pi, alpha=ALPHA, theta=eps / csr.norm_a())
+        lp = th.edgepush_source_cost(
+            csr, pi, th.theta_local(csr, eps / csr.norm_a(), alpha=ALPHA), alpha=ALPHA
+        )
         ep = th.edgepush_source_cost(csr, pi, th.theta_l1(csr, eps), alpha=ALPHA)
         assert ep / lp == pytest.approx(U.l1_improvement(csr, alpha=ALPHA), rel=1e-9)
 
@@ -64,7 +66,7 @@ class TestCos2Phi:
         csr = any_graph.csr
         rmax = 1e-4
         pi = stationary(csr)
-        lp = th.localpush_source_cost(csr, pi, alpha=ALPHA, theta=rmax)
+        lp = th.edgepush_source_cost(csr, pi, th.theta_local(csr, rmax, alpha=ALPHA), alpha=ALPHA)
         ep = th.edgepush_source_cost(csr, pi, th.theta_additive(csr, rmax), alpha=ALPHA)
         assert ep / lp == pytest.approx(
             U.additive_improvement(csr, alpha=ALPHA), rel=1e-9
