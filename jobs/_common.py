@@ -14,6 +14,8 @@ import sys
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.graphs import datasets as ds
+
 
 def make_spark(app: str) -> SparkSession:
     return (
@@ -30,6 +32,19 @@ def base_parser(description: str) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional CSV output path")
     p.add_argument("--seed", type=int, default=0)
     return p
+
+
+def dataset_keys(value: str) -> tuple[str, ...]:
+    """The ``--datasets`` type: comma-separated dataset-lite keys. argparse
+    turns an unknown key into a usage error, before any Spark session
+    starts."""
+    keys = tuple(value.split(","))
+    for key in keys:
+        if key not in ds.ALL_KEYS:
+            raise argparse.ArgumentTypeError(
+                f"unknown dataset {key!r} (choose from {','.join(ds.ALL_KEYS)})"
+            )
+    return keys
 
 
 def emit(df: pd.DataFrame, out: str | None) -> None:

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, emit, make_spark
+from _common import base_parser, dataset_keys, emit, make_spark
 
 from repro.analysis.experiments import l1_tradeoff
 from repro.graphs import datasets as ds
@@ -17,7 +17,7 @@ from repro.graphs import datasets as ds
 
 def main(argv=None) -> None:
     p = base_parser(__doc__)
-    p.add_argument("--datasets", default="YT,TA")
+    p.add_argument("--datasets", type=dataset_keys, default="YT,TA")
     p.add_argument("--sources", type=int, default=3)
     p.add_argument("--eps-grid", default="1e-1,1e-2,1e-3")
     p.add_argument("--iters-grid", default="3,5,7,9")
@@ -25,7 +25,7 @@ def main(argv=None) -> None:
     spark = make_spark("l1_tradeoff")
     emit(
         l1_tradeoff(
-            {key: ds.load(spark, key) for key in args.datasets.split(",")},
+            {key: ds.load(spark, key) for key in args.datasets},
             n_sources=args.sources,
             seed=args.seed,
             eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),

@@ -9,14 +9,14 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, emit, make_spark
+from _common import base_parser, dataset_keys, emit, make_spark
 
 from repro.analysis.experiments import table1_complexity, table1_graphs
 
 
 def main(argv=None) -> None:
     p = base_parser(__doc__)
-    p.add_argument("--datasets", default="TH,TA,BC")
+    p.add_argument("--datasets", type=dataset_keys, default="TH,TA,BC")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--rmax", type=float, default=1e-4)
     p.add_argument("--sources", type=int, default=3)
@@ -24,7 +24,7 @@ def main(argv=None) -> None:
     args = p.parse_args(argv)
     spark = make_spark("table1_complexity")
     graphs = table1_graphs(
-        spark, {f"{key}-lite": key for key in args.datasets.split(",")}
+        spark, {f"{key}-lite": key for key in args.datasets}
     )
     emit(
         table1_complexity(

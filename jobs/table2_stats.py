@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, emit, make_spark
+from _common import base_parser, dataset_keys, emit, make_spark
 
 from repro.analysis.experiments import table2_rows
 from repro.graphs.datasets import ALL_KEYS
@@ -14,10 +14,10 @@ from repro.graphs.datasets import ALL_KEYS
 
 def main(argv=None) -> None:
     p = base_parser(__doc__)
-    p.add_argument("--datasets", default=",".join(ALL_KEYS))
+    p.add_argument("--datasets", type=dataset_keys, default=",".join(ALL_KEYS))
     args = p.parse_args(argv)
     spark = make_spark("table2_stats")
-    emit(table2_rows(spark, keys=tuple(args.datasets.split(","))), args.out)
+    emit(table2_rows(spark, keys=args.datasets), args.out)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,14 @@ unbalancedness profile:
 
 - the four *motif-based* datasets (YT, LJ, IC, OL) are power-law graphs
   reweighted by clique3 (triangle) counts, exactly the paper's
-  preprocessing, so their cos²φ is emergent (recorded vs. the paper's);
+  preprocessing (generators.motif_weights), so their cos²φ is emergent
+  (recorded vs. the paper's);
 - the four *real weighted* datasets (TA, TH, BC, SP) are power-law graphs
   with i.i.d. log-normal weights tuned to the dataset's **published
   cos²φ** (σ² = 4·ln(1/cos²φ); see generators.lognormal_weights).
+
+Each lite is built on the driver in numpy: a power-law topology, then its
+kind's weight model, then :meth:`WeightedGraph.from_undirected_pandas`.
 
 ``PAPER_TABLE2`` records the original Table-2 rows for EXPERIMENTS.md.
 """
@@ -23,7 +27,6 @@ from pyspark.sql import SparkSession
 
 from repro.graphs import generators as gen
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.motif import motif_weighted_graph
 
 
 # paper's Table 2: n, m, mean weight, max weight, cos²φ
@@ -50,35 +53,35 @@ class DatasetSpec:
     build: Callable[[SparkSession], WeightedGraph]
 
 
-def _motif(n: int, m: int, exponent: float, seed: int):
-    def build(spark: SparkSession) -> WeightedGraph:
-        base = WeightedGraph.from_undirected_pandas(
-            spark, gen.powerlaw_graph(n, m, exponent=exponent, seed=seed)
-        )
-        return motif_weighted_graph(spark, base)
+def _lite(key: str, n: int, m: int, exponent: float, seed: int) -> DatasetSpec:
+    """A power-law topology, then its kind's weight model: clique3 motif
+    counts, or log-normal weights tuned to the paper's cos²φ."""
+    kind = "motif" if key in MOTIF_KEYS else "real"
 
-    return build
-
-
-def _real(n: int, m: int, exponent: float, target_cos2: float, seed: int):
     def build(spark: SparkSession) -> WeightedGraph:
         topo = gen.powerlaw_graph(n, m, exponent=exponent, seed=seed)
-        return WeightedGraph.from_undirected_pandas(
-            spark, gen.lognormal_weights(topo, target_cos2=target_cos2, seed=seed)
-        )
+        if kind == "motif":
+            edges = gen.motif_weights(topo)
+        else:
+            cos2 = PAPER_TABLE2[key]["cos2"]
+            edges = gen.lognormal_weights(topo, target_cos2=cos2, seed=seed)
+        return WeightedGraph.from_undirected_pandas(spark, edges)
 
-    return build
+    return DatasetSpec(key, kind, build)
 
 
 SPECS: dict[str, DatasetSpec] = {
-    "YT": DatasetSpec("YT", "motif", _motif(1200, 6000, 0.8, seed=101)),
-    "LJ": DatasetSpec("LJ", "motif", _motif(1200, 12000, 0.9, seed=102)),
-    "IC": DatasetSpec("IC", "motif", _motif(800, 16000, 1.0, seed=103)),
-    "OL": DatasetSpec("OL", "motif", _motif(1000, 12000, 0.7, seed=104)),
-    "TA": DatasetSpec("TA", "real", _real(600, 12000, 0.8, 0.27, seed=105)),
-    "TH": DatasetSpec("TH", "real", _real(1500, 12000, 0.8, 0.97, seed=106)),
-    "BC": DatasetSpec("BC", "real", _real(900, 3000, 0.9, 0.5, seed=107)),
-    "SP": DatasetSpec("SP", "real", _real(800, 20000, 0.8, 0.29, seed=108)),
+    spec.key: spec
+    for spec in (
+        _lite("YT", 1200, 6000, 0.8, seed=101),
+        _lite("LJ", 1200, 12000, 0.9, seed=102),
+        _lite("IC", 800, 16000, 1.0, seed=103),
+        _lite("OL", 1000, 12000, 0.7, seed=104),
+        _lite("TA", 600, 12000, 0.8, seed=105),
+        _lite("TH", 1500, 12000, 0.8, seed=106),
+        _lite("BC", 900, 3000, 0.9, seed=107),
+        _lite("SP", 800, 20000, 0.8, seed=108),
+    )
 }
 
 _CACHE: dict[str, WeightedGraph] = {}

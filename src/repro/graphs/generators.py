@@ -11,7 +11,10 @@ Lemma 6).
 All generators return an undirected edge list as a pandas DataFrame with
 columns ``src, dst, weight`` (one row per undirected edge, ``src < dst``),
 node ids contiguous in ``[0, n)``; wrap with
-:func:`repro.graphs.graph.WeightedGraph.from_undirected_pandas`.
+:func:`repro.graphs.graph.WeightedGraph.from_undirected_pandas`. The weight
+models (:func:`lognormal_weights`, :func:`zipf_weights`,
+:func:`motif_weights`) take such a list and return one with new weights;
+all of this is numpy on the driver.
 """
 from __future__ import annotations
 
@@ -97,7 +100,7 @@ def powerlaw_graph(n: int, m: int, *, exponent: float = 1.0, seed: int = 0) -> p
     Endpoints are drawn i.i.d. from a Zipf(``exponent``) distribution over
     nodes; duplicates and self-loops are dropped, so the realized edge count
     is slightly below ``m``. Unit weights (weight models are applied on
-    top, e.g. :func:`lognormal_weights` or motif counting).
+    top, e.g. :func:`lognormal_weights` or :func:`motif_weights`).
     """
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n + 1)
@@ -140,12 +143,33 @@ def zipf_weights(edges: pd.DataFrame, *, alpha: float = 1.5, seed: int = 0) -> p
     return out
 
 
-def chain_graph(n: int, *, weight: float = 1.0) -> pd.DataFrame:
-    """Path graph — minimal sanity-check topology."""
-    src = np.arange(n - 1)
-    return pd.DataFrame({"src": src, "dst": src + 1, "weight": np.full(n - 1, weight)})
+def motif_weights(edges: pd.DataFrame) -> pd.DataFrame:
+    """Weight each edge by φ(e), the number of triangles it lies on.
 
-
-def complete_graph(n: int, *, weight: float = 1.0) -> pd.DataFrame:
-    iu, ju = np.triu_indices(n, k=1)
-    return pd.DataFrame({"src": iu, "dst": ju, "weight": np.full(iu.size, weight)})
+    This is MAPPR's clique3 motif weighting (Yin et al., KDD 2017), which
+    the paper applies to its four unweighted datasets: φ(u,v) =
+    |N(u) ∩ N(v)|. The input's weights are ignored and its pairs are
+    canonicalized; edges with φ = 0 drop out, and the ids of the nodes
+    left are remapped to a contiguous ``[0, n)``. Raises ``ValueError``
+    when no edge lies on a triangle, which would leave no node to query.
+    """
+    src, dst = _dedup(edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64))
+    # both directions sorted by (head, tail): N(u) is tail[lo:hi] of u's run
+    head, tail = np.concatenate([src, dst]), np.concatenate([dst, src])
+    order = np.lexsort((tail, head))
+    head, tail = head[order], tail[order]
+    lo = np.searchsorted(head, [src, dst], side="left")
+    hi = np.searchsorted(head, [src, dst], side="right")
+    phi = np.array(
+        [
+            np.intersect1d(tail[a:b], tail[c:d], assume_unique=True).size
+            for a, b, c, d in zip(lo[0], hi[0], lo[1], hi[1])
+        ],
+        dtype=np.float64,
+    )
+    keep = phi > 0
+    if not keep.any():
+        raise ValueError("no edge lies on a triangle")
+    _, ids = np.unique(np.concatenate([src[keep], dst[keep]]), return_inverse=True)
+    u, v = np.split(ids, 2)
+    return pd.DataFrame({"src": u, "dst": v, "weight": phi[keep]})

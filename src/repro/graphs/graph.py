@@ -107,13 +107,12 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """Build from an undirected edge list (one row per undirected edge).
 
-        ``pdf`` columns: ``src, dst, weight``. Zero-weight edges are dropped
-        (the paper's motif weighting can produce φ(e)=0); both directions
-        of the others are stored. ``n`` defaults to the largest id kept
-        plus one. Raises ``ValueError`` for a NaN, infinite or negative
-        weight, a self-loop, a pair given twice (in either order), an id
-        that is not an integer or lies outside ``[0, n)``, or, when ``n`` is
-        not given, no edge of positive weight.
+        ``pdf`` columns: ``src, dst, weight``. Zero-weight edges are
+        dropped; both directions of the others are stored. ``n`` defaults to
+        the largest id kept plus one. Raises ``ValueError`` for a NaN,
+        infinite or negative weight, a self-loop, a pair given twice (in
+        either order), an id that is not an integer or lies outside
+        ``[0, n)``, or, when ``n`` is not given, no edge of positive weight.
         """
         for col in ("src", "dst"):
             ids = pdf[col].to_numpy(np.float64)
@@ -168,11 +167,6 @@ class WeightedGraph:
     def transition(self) -> DataFrame:
         """Edges ``(src, dst, weight, p)`` with ``p = A_uv / d(u)``."""
         return self.edge_frame()
-
-    @cached_property
-    def edges(self) -> DataFrame:
-        """Edges ``(src, dst, weight)``."""
-        return self.transition.select("src", "dst", "weight")
 
     @cached_property
     def degrees(self) -> DataFrame:

@@ -13,6 +13,14 @@ from repro.graphs.affinity import (
 
 from .helpers import build
 
+# (n, m, max weight, Σw over directed edges) of the motif lites
+MOTIF_LITES = {
+    "YT": (818, 4178, 122, 38736),
+    "LJ": (1139, 10420, 399, 231486),
+    "IC": (798, 10343, 476, 358866),
+    "OL": (990, 10668, 207, 149568),
+}
+
 
 def _c2(pdf):
     w = np.concatenate([pdf.weight, pdf.weight])
@@ -86,11 +94,15 @@ class TestDatasetRegistry:
         assert cos2_phi(g.csr) == pytest.approx(target, rel=0.3)
 
     def test_motif_lite_builds(self, spark):
-        g = ds.load(spark, "YT")
-        assert g.n > 100
-        assert g.csr.nnz > 500
-        w = g.edges.toPandas()["weight"]
-        assert (w == w.astype(int)).all()  # triangle counts
+        """Each motif lite has triangle-count weights and its pinned
+        (n, m, max weight, Σw over the directed edges); n, m and max weight
+        are its row of the lites' Table 2."""
+        for key in ds.MOTIF_KEYS:
+            csr = ds.load(spark, key).csr
+            w = csr.weights
+            assert (w == w.astype(int)).all(), key  # triangle counts
+            got = (csr.n, csr.nnz // 2, w.max(), w.sum())
+            assert got == MOTIF_LITES[key], key
 
     def test_load_cached(self, spark):
         assert ds.load(spark, "TH") is ds.load(spark, "TH")

@@ -18,21 +18,21 @@ def any_graph(request, spark):
 
 class TestConstruction:
     def test_symmetric_edges(self, any_graph):
-        pdf = any_graph.edges.toPandas()
-        fwd = set(zip(pdf.src, pdf.dst))
+        csr = any_graph.csr
+        fwd = set(zip(csr.src, csr.indices))
         assert all((d, s) in fwd for s, d in fwd), "every edge needs its reverse"
 
     def test_symmetric_weights(self, any_graph):
-        pdf = any_graph.edges.toPandas()
-        w = {(s, d): w for s, d, w in pdf.itertuples(index=False)}
+        csr = any_graph.csr
+        w = dict(zip(zip(csr.src, csr.indices), csr.weights))
         assert all(abs(w[(s, d)] - w[(d, s)]) < 1e-12 for (s, d) in w)
 
     def test_no_self_loops(self, any_graph):
-        assert any_graph.edges.filter("src = dst").count() == 0
+        assert any_graph.transition.filter("src = dst").count() == 0
 
     def test_node_ids_contiguous(self, any_graph):
-        pdf = any_graph.edges.toPandas()
-        ids = set(pdf.src) | set(pdf.dst)
+        csr = any_graph.csr
+        ids = set(csr.src) | set(csr.indices)
         assert ids == set(range(any_graph.n))
 
     def test_zero_weight_edges_dropped(self, spark):
@@ -43,7 +43,7 @@ class TestConstruction:
         assert g.csr.nnz == 2  # only 0-1 kept, both directions
 
     def test_positive_weights(self, any_graph):
-        assert any_graph.edges.filter("weight <= 0").count() == 0
+        assert any_graph.transition.filter("weight <= 0").count() == 0
 
     @pytest.mark.parametrize(
         "bad, n",
@@ -103,7 +103,7 @@ class TestDerived:
             any_graph.degrees,
             "SELECT src AS node, SUM(weight) AS deg, COUNT(*) AS nbrs "
             "FROM edges GROUP BY src",
-            edges=any_graph.edges,
+            edges=any_graph.transition,
         )
 
     def test_transition_rows_sum_to_one(self, any_graph):
@@ -117,7 +117,7 @@ class TestDerived:
             any_graph.transition,
             "SELECT src, dst, weight, "
             "weight / SUM(weight) OVER (PARTITION BY src) AS p FROM edges",
-            edges=any_graph.edges,
+            edges=any_graph.transition,
         )
 
     def test_norm_a_is_twice_undirected_weight(self, spark):
@@ -129,7 +129,7 @@ class TestDerived:
 class TestCSR:
     def test_csr_roundtrip(self, any_graph):
         """One direction of each CSR edge, fed back to the constructor,
-        builds the same CSR and the same Spark edges."""
+        builds the same CSR and the same Spark transition frame."""
         csr = any_graph.csr
         assert csr.indptr[-1] == csr.nnz
         fwd = csr.src < csr.indices
@@ -139,8 +139,8 @@ class TestCSR:
         g2 = WeightedGraph.from_undirected_pandas(any_graph.spark, pdf, n=csr.n)
         for name in ("indptr", "indices", "weights"):
             assert np.array_equal(getattr(g2.csr, name), getattr(csr, name))
-        a = any_graph.edges.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        b = g2.edges.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
+        a = any_graph.transition.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
+        b = g2.transition.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
         assert len(a) == csr.nnz
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
@@ -185,7 +185,7 @@ class TestStats:
         import duckdb
 
         con = duckdb.connect()
-        con.register("edges", any_graph.edges.toPandas())
+        con.register("edges", any_graph.transition.toPandas())
         c = con.execute(
             "SELECT POW(SUM(SQRT(weight)), 2) / (COUNT(*) * SUM(weight)) FROM edges"
         ).fetchone()[0]

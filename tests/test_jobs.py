@@ -10,6 +10,8 @@ from pathlib import Path
 import pandas as pd
 import pytest
 
+from repro.graphs.datasets import ALL_KEYS
+
 from .helpers import assert_work_within_bounds
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -29,6 +31,22 @@ def out_csv(tmp_path):
 
 
 class TestJobs:
+    @pytest.mark.parametrize(
+        "name", ["table2_stats", "table1_complexity", "additive_tradeoff", "l1_tradeoff"]
+    )
+    def test_unknown_dataset_refused_before_spark(self, name, monkeypatch, capsys):
+        """An unknown ``--datasets`` key is a usage error that names the key
+        and the known ones, raised before a Spark session is built."""
+        mod = _load(name)
+        started = []
+        monkeypatch.setattr(mod, "make_spark", started.append)
+        with pytest.raises(SystemExit) as exc:
+            mod.main(["--datasets", "BC,XX"])
+        assert exc.value.code == 2
+        assert not started
+        err = capsys.readouterr().err
+        assert "'XX'" in err and ",".join(ALL_KEYS) in err
+
     def test_table2_stats(self, spark, out_csv, capsys):
         _load("table2_stats").main(["--datasets", "BC", "--out", out_csv])
         df = pd.read_csv(out_csv)

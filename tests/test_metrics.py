@@ -84,8 +84,8 @@ class TestConductance:
     def test_two_cliques_cut(self, spark):
         """Two 5-cliques joined by one edge: the clique is the best sweep
         cut and its conductance is 1/(vol of clique side)."""
-        cl1 = gen.complete_graph(5)
-        cl2 = gen.complete_graph(5)
+        cl1 = gen.complete_unbalanced(5, light=1.0)
+        cl2 = gen.complete_unbalanced(5, light=1.0)
         cl2[["src", "dst"]] += 5
         bridge = pd.DataFrame({"src": [0], "dst": [5], "weight": [1.0]})
         g = build(spark, pd.concat([cl1, cl2, bridge], ignore_index=True))
@@ -95,8 +95,8 @@ class TestConductance:
         assert phi == pytest.approx(1.0 / 21.0)  # cut=1, vol=2*10+1
 
     def test_sweep_finds_planted_cluster(self, spark):
-        cl1 = gen.complete_graph(6)
-        cl2 = gen.complete_graph(6)
+        cl1 = gen.complete_unbalanced(6, light=1.0)
+        cl2 = gen.complete_unbalanced(6, light=1.0)
         cl2[["src", "dst"]] += 6
         bridge = pd.DataFrame({"src": [0], "dst": [6], "weight": [1.0]})
         g = build(spark, pd.concat([cl1, cl2, bridge], ignore_index=True))
@@ -122,7 +122,7 @@ class TestConductance:
         g = get_graph(spark, "er_lognormal")
         members = pd.DataFrame({"node": np.arange(0, g.n, 3)})
         con = duckdb.connect()
-        con.register("edges", g.edges.toPandas())
+        con.register("edges", g.transition.toPandas())
         con.register("members", members)
         phi = con.execute(
             """

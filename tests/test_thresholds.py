@@ -88,7 +88,7 @@ class TestSparkThetas:
             "weight / SUM(weight) OVER (PARTITION BY src) AS p, "
             "0.1 * SQRT(weight) / (SELECT SUM(SQRT(weight)) FROM edges) AS theta "
             "FROM edges",
-            edges=any_graph.edges,
+            edges=any_graph.transition,
         )
 
     def test_spark_additive_matches_oracle(self, any_graph):
@@ -103,7 +103,7 @@ class TestSparkThetas:
             "1.0 * SUM(weight) OVER (PARTITION BY dst) * SQRT(weight) "
             "  / SUM(SQRT(weight)) OVER (PARTITION BY dst) AS theta "
             "FROM edges",
-            edges=any_graph.edges,
+            edges=any_graph.transition,
         )
 
     def test_unknown_mode_raises(self, any_graph):
