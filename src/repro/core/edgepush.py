@@ -62,6 +62,7 @@ def edge_push(
         cost,
         source=source,
         alpha=alpha,
+        rows=graph.csr.nnz,
         unit=F.lit(1),
         scan_size=graph.csr.nnz,
         scan_frac=scan_frac,

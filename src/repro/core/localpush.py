@@ -74,6 +74,7 @@ def local_push(
         cost,
         source=source,
         alpha=alpha,
+        rows=graph.csr.nnz,
         unit=F.col("head"),
         scan_size=graph.n,
         scan_frac=scan_frac,

@@ -6,14 +6,18 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   old one; without truncation Catalyst replans an ever-growing tree.
   :func:`state_checkpoint` eagerly ``localCheckpoint``s the state.
 - **a loop-scoped shuffle layout** — the session default of 64 shuffle
-  partitions is tuned for SF=0.1 OLAP scans, not for a 5k-row frontier
+  partitions is tuned for SF=0.1 OLAP scans, not for a 20k-row edge state
   updated dozens of times, and adaptive query execution (AQE) would run
   every shuffle stage of a superstep as its own Spark job and coalesce the
   partitions, so a checkpointed state would lose its hash partitioning and
   the next superstep would shuffle all of it again.
-  :func:`few_shuffle_partitions` scopes partitions = ``defaultParallelism``
-  (one task per core) with AQE off to the algorithm's loop and restores the
-  session values afterwards (the session is shared with other tests).
+  :func:`few_shuffle_partitions` scopes a partition count sized to the edge
+  state (:func:`shuffle_partitions`: one partition per
+  :data:`ROWS_PER_PARTITION` edge rows, at most ``defaultParallelism``)
+  with AQE off to the algorithm's loop and restores the session values
+  afterwards (the session is shared with other tests). At one partition
+  Catalyst plans a superstep's ``groupBy`` and join with no exchange, so
+  the superstep is one stage and one task.
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
 EdgePush, LocalPush and the Power Method. It owns the edge state and the
@@ -108,13 +112,30 @@ class PPRResult:
         return self.estimate
 
 
+# Edge rows per shuffle partition of the push loop. At one partition a
+# superstep has no exchange; warm edge_push on local[4] (4 vCPUs), s per
+# superstep at 4 partitions against 1: 0.24-0.29 vs 0.19-0.20 at 21.8k
+# rows, 0.20-0.27 vs 0.15-0.17 at 96k, even at 201k, and 0.37-0.39 vs
+# 0.40-0.43 at 397k, where one partition is ~8% slower.
+ROWS_PER_PARTITION = 100_000
+
+
+def shuffle_partitions(rows: int, cores: int) -> int:
+    """The push loop's shuffle-partition count for an edge state of
+    ``rows`` rows on ``cores`` cores: one per :data:`ROWS_PER_PARTITION`
+    rows, at most ``cores``."""
+    return min(cores, -(-rows // ROWS_PER_PARTITION))
+
+
 @contextmanager
-def few_shuffle_partitions(spark: SparkSession):
-    """Temporarily set ``spark.sql.shuffle.partitions`` to the core count
-    (``defaultParallelism``) and turn AQE off for a tight loop, so that a
-    checkpointed state keeps its partitioning."""
+def few_shuffle_partitions(spark: SparkSession, rows: int):
+    """Temporarily size ``spark.sql.shuffle.partitions`` to an edge state of
+    ``rows`` rows (:func:`shuffle_partitions` over ``defaultParallelism``)
+    and turn AQE off for a tight loop, so that a checkpointed state keeps
+    its partitioning."""
+    partitions = shuffle_partitions(rows, spark.sparkContext.defaultParallelism)
     settings = {
-        "spark.sql.shuffle.partitions": str(spark.sparkContext.defaultParallelism),
+        "spark.sql.shuffle.partitions": str(partitions),
         "spark.sql.adaptive.enabled": "false",
     }
     old = {key: spark.conf.get(key) for key in settings}
@@ -151,6 +172,7 @@ def push_supersteps(
     *,
     source: int,
     alpha: float,
+    rows: int,
     unit: Column,
     scan_size: int,
     scan_frac: float | None,
@@ -160,24 +182,27 @@ def push_supersteps(
     final edge state, collected to the driver as pandas, and whether the run
     converged.
 
-    ``edges`` holds the static edge columns, at least ``(src, dst, p,
-    theta)``; the state adds the residue ``r``, (1-α)·p on the source's
-    out-edges, and ``out``, the residue pushed along the edge so far. Each
-    superstep simultaneously pushes every candidate ``r ≥ theta``: its
-    pre-superstep ``r`` moves to ``out``, the pushed ``r`` summed by ``dst``
-    is the income inc, and every edge ⟨v,w⟩ gains (1-α)·inc(v)·p. The strict
-    ``r > 0`` guard keeps zero residues from ever being candidates, even
-    where a threshold is or underflows to 0. A pushed edge is one edge
-    touch; ``unit``, a column over the edges, is the pushes it books.
+    ``edges`` holds the ``rows`` (2m) static edge rows, with at least the
+    columns ``(src, dst, p, theta)``; the state adds the residue ``r``,
+    (1-α)·p on the source's out-edges, and ``out``, the residue pushed
+    along the edge so far. Each superstep simultaneously pushes every
+    candidate ``r ≥ theta``: its pre-superstep ``r`` moves to ``out``, the
+    pushed ``r`` summed by ``dst`` is the income inc, and every edge ⟨v,w⟩
+    gains (1-α)·inc(v)·p. The strict ``r > 0`` guard keeps zero residues
+    from ever being candidates, even where a threshold is or underflows to
+    0. A pushed edge is one edge touch; ``unit``, a column over the edges,
+    is the pushes it books.
 
     Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates' units
     outnumber ``scan_frac · scan_size``, the superstep pushes *every* edge
     with r > 0, a sequential pass over the residue array, instead of only
     the candidates; pushes and touches are booked for what is pushed.
 
-    In :func:`few_shuffle_partitions`, the state is partitioned by ``src``,
-    so a superstep shuffles only the income, and checkpointed initially and
-    after every superstep; the checkpoint's own job also computes, as
+    In :func:`few_shuffle_partitions` over ``rows``, the state is
+    partitioned by ``src``, so a superstep shuffles at most the income, and
+    nothing at one partition (every state of at most
+    :data:`ROWS_PER_PARTITION` rows); it is checkpointed initially and
+    after every superstep. The checkpoint's own job also computes, as
     observed metrics (``DataFrame.observe``), the next superstep's candidate
     edges and units, and the same for r > 0. So a superstep is one Spark
     job. The run stops when no edge is a candidate, or unconverged after
@@ -222,7 +247,7 @@ def push_supersteps(
         F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
         F.lit(0.0).alias("out"),
     )
-    with few_shuffle_partitions(edges.sparkSession):
+    with few_shuffle_partitions(edges.sparkSession, rows):
         state, agg = counted_checkpoint(state.repartition("src"))
         cost.start()
         for _ in range(max_supersteps):

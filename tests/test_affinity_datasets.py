@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.unbalance import additive_unbalance_factor, cos2_phi
+from repro.core.runtime import shuffle_partitions
 from repro.graphs import datasets as ds
 from repro.graphs.affinity import (
     PAPER_CONFIGS,
@@ -103,6 +104,13 @@ class TestDatasetRegistry:
             assert (w == w.astype(int)).all(), key  # triangle counts
             got = (csr.n, csr.nnz // 2, w.max(), w.sum())
             assert got == MOTIF_LITES[key], key
+
+    @pytest.mark.parametrize("key", ds.ALL_KEYS)
+    def test_lite_push_state_is_one_partition(self, spark, key):
+        """Every lite's edge state is one shuffle partition of the push
+        loop, whatever the core count, so its supersteps run no exchange."""
+        nnz = ds.load(spark, key).csr.nnz
+        assert shuffle_partitions(nnz, cores=1 << 30) == 1
 
     def test_load_cached(self, spark):
         assert ds.load(spark, "TH") is ds.load(spark, "TH")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.unbalance import cos2_phi
 from repro.graphs import generators as gen
-from repro.graphs.graph import WeightedGraph
 
 from .helpers import build
 
@@ -39,12 +38,9 @@ class TestStarBadCase:
         assert light_total == pytest.approx(1 / n)
 
     @pytest.mark.parametrize("n", [10, 50, 400])
-    def test_cos2_shrinks_with_n(self, n):
+    def test_cos2_shrinks_with_n(self, spark, n):
         # the Figure-1 graph gets more unbalanced as n grows
-        csr_small = WeightedGraph
-        pdf = gen.star_bad_case(n)
-        sym_w = np.concatenate([pdf.weight, pdf.weight])
-        c = np.sqrt(sym_w).sum() ** 2 / (sym_w.size * sym_w.sum())
+        c = cos2_phi(build(spark, gen.star_bad_case(n)).csr)
         assert c < 0.6
         if n >= 400:
             assert c < 0.05

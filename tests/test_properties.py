@@ -136,11 +136,21 @@ class TestCostStats:
         assert c.supersteps == 2 and c.pushes == 4 and c.edge_touches == 9
 
     def test_few_shuffle_partitions_restores(self, spark):
-        from repro.core.runtime import few_shuffle_partitions
+        """The loop's partition count follows the edge rows, one partition
+        per ROWS_PER_PARTITION up to the core count, with AQE off; the
+        session values come back after the scope."""
+        from repro.core.runtime import ROWS_PER_PARTITION, few_shuffle_partitions
 
         keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
         before = [spark.conf.get(k) for k in keys]
-        with few_shuffle_partitions(spark):
-            inside = [spark.conf.get(k) for k in keys]
-            assert inside == [str(spark.sparkContext.defaultParallelism), "false"]
-        assert [spark.conf.get(k) for k in keys] == before
+        cores = spark.sparkContext.defaultParallelism
+        for rows, partitions in [
+            (1, 1),
+            (ROWS_PER_PARTITION, 1),
+            (ROWS_PER_PARTITION + 1, min(2, cores)),
+            (10**9, cores),
+        ]:
+            with few_shuffle_partitions(spark, rows):
+                inside = [spark.conf.get(k) for k in keys]
+                assert inside == [str(partitions), "false"], rows
+            assert [spark.conf.get(k) for k in keys] == before

@@ -382,12 +382,8 @@ def test_jvm_calls_per_superstep(spark, monkeypatch, method):
 EXCHANGE = re.compile(r"\bExchange\b")
 
 
-@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
-def test_one_exchange_per_superstep(spark, monkeypatch, method):
-    """The state stays partitioned by its join key across checkpoints, so
-    a superstep shuffles only the pushed mass: one exchange, not a
-    re-shuffle of the whole state."""
-    g = get_graph(spark, "er_lognormal")
+def record_exchanges(monkeypatch) -> list[int]:
+    """Count the exchanges in the plan of every state the loop checkpoints."""
     exchanges = []
 
     def checkpoint(df):
@@ -396,10 +392,45 @@ def test_one_exchange_per_superstep(spark, monkeypatch, method):
         return state_checkpoint(df)
 
     monkeypatch.setattr(runtime, "state_checkpoint", checkpoint)
+    return exchanges
+
+
+@pytest.mark.parametrize("graph_name", SPARK_GRAPHS)
+@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
+def test_superstep_has_no_exchange(spark, monkeypatch, method, graph_name):
+    """An edge state of at most ROWS_PER_PARTITION rows is one shuffle
+    partition: the initial repartition by src is the query's only exchange,
+    and a superstep's groupBy and join shuffle nothing."""
+    g = get_graph(spark, graph_name)
+    assert g.csr.nnz <= runtime.ROWS_PER_PARTITION
+    exchanges = record_exchanges(monkeypatch)
     res = run_loop(g, method, LOOP_TOLS[method][0])
+    assert res.cost.supersteps >= 1
+    assert exchanges == [1] + [0] * res.cost.supersteps
+
+
+@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
+def test_one_exchange_per_superstep(spark, monkeypatch, method):
+    """Spread over the cores, the state stays partitioned by its join key
+    across checkpoints, so a superstep shuffles only the pushed mass: one
+    exchange, not a re-shuffle of the whole state. The partition count
+    changes neither the pushes nor the estimate."""
+    cores = spark.sparkContext.defaultParallelism
+    if cores < 2:
+        pytest.skip("one core gives one shuffle partition")
+    g = get_graph(spark, "er_lognormal")
+    tol = LOOP_TOLS[method][0]
+    single = run_loop(g, method, tol)
+    monkeypatch.setattr(runtime, "ROWS_PER_PARTITION", 1)
+    assert runtime.shuffle_partitions(g.csr.nnz, cores) == cores
+    exchanges = record_exchanges(monkeypatch)
+    res = run_loop(g, method, tol)
     assert res.cost.supersteps > 3
     # the initial state's repartition, then one per superstep
     assert exchanges == [1] * (res.cost.supersteps + 1)
+    work = [(r.cost.supersteps, r.cost.pushes, r.cost.edge_touches) for r in (res, single)]
+    assert work[0] == work[1]
+    np.testing.assert_allclose(res.estimate, single.estimate, rtol=1e-12, atol=0)
 
 
 # Spark jobs of the walk phase: the walks run on the driver over the graph's
