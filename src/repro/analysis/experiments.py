@@ -291,20 +291,19 @@ def table1_complexity(
     """
     if impl not in ("batch", "sequential"):
         raise ValueError(f"unknown impl: {impl!r}")
-    # label -> regime -> (EdgePush mode, tol, LocalPush θ, EdgePush θ per edge, predicted ratio)
+    # label -> regime -> (EdgePush mode, tol, LocalPush θ, predicted ratio)
     regimes = {
         label: {
-            "l1": ("l1", eps, eps / g.csr.norm_a(), th.theta_l1(g.csr, eps),
-                   U.l1_improvement(g.csr, alpha=ALPHA)),
-            "add": ("additive", rmax, rmax, th.theta_additive(g.csr, rmax),
-                    U.additive_improvement(g.csr, alpha=ALPHA)),
+            "l1": ("l1", eps, eps / g.csr.norm_a(), U.l1_improvement(g.csr, alpha=ALPHA)),
+            "add": ("additive", rmax, rmax, U.additive_improvement(g.csr, alpha=ALPHA)),
         }
         for label, g in graphs.items()
     }
 
     def runs(label, g):
         csr = g.csr
-        for r, (mode, tol, lp_theta, ep_theta, _) in regimes[label].items():
+        for r, (mode, tol, lp_theta, _) in regimes[label].items():
+            ep_theta = th.theta_edge(csr, mode, tol)
             if impl == "sequential":
                 lp = partial(sequential_local_push, csr, alpha=ALPHA, theta=lp_theta)
                 ep = partial(sequential_edge_push, csr, theta_edge=ep_theta, alpha=ALPHA)

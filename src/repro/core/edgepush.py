@@ -11,24 +11,24 @@ so the batch schedule preserves the invariant and the terminal condition
 ``R_uv < θ(u,v)`` for all edges yields exactly the paper's error bounds
 (Lemmas 4–5, Theorems 2–3).
 
-State is one edge-level DataFrame ``(src, dst, p, theta, r, out)``: the
-residue ``r`` and ``out``, the residue pushed along the edge so far. The
-node income q of Algorithm 2 is then ``q(v) = [v=s] + Σ_u out(u,v)``, summed
-in numpy over the terminal state the loop collects, and the estimate is
+State is one edge-level DataFrame ``(src, dst, r, out)``: the residue
+``r`` and ``out``, the residue pushed along the edge so far. The node
+income q of Algorithm 2 is then ``q(v) = [v=s] + Σ_u out(u,v)``, summed in
+numpy over the terminal state the loop collects, and the estimate is
 ``π̂ = α·q``. Work accounting: each edge push costs O(1) — one edge touch —
 which is precisely the quantity Lemma 3 bounds.
 
 The superstep, with the §6.2 scan switch over the 2m edges, is
 :func:`repro.core.runtime.push_supersteps`; this module supplies the
-Theorem-2/3 thresholds and a push unit of 1 per edge.
+Theorem-2/3 thresholds, and the kernel's default unit of 1 push per edge.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import functions as F
 
 from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
-from repro.core.thresholds import thresholds_df
+# thresholds_df is not called here; perfbench's traced layer hooks look it up here
+from repro.core.thresholds import theta_edge, thresholds_df  # noqa: F401
 from repro.graphs.graph import WeightedGraph
 
 
@@ -48,9 +48,10 @@ def edge_push(
     Theorem 2 (ℓ1-error ≤ ε), ``("additive", r_max)`` uses Theorem 3
     (normalized additive error ≤ r_max).
 
-    The result's ``state`` is the terminal edge state ``(src, dst, p, theta,
-    r, out)`` as pandas. Raises ``ValueError`` for α ∉ (0,1), a source that
-    is not a node with edges, or ``tol`` ≤ 0 or NaN.
+    The result's ``state`` is the terminal edge state ``(src, dst, r, out)``
+    in CSR order as pandas. Raises ``ValueError`` for α ∉ (0,1), a source
+    that is not a node with edges, ``tol`` ≤ 0 or NaN, or an unknown
+    ``mode``.
     """
     check_query(graph.csr, source, alpha)
     if not tol > 0:
@@ -58,13 +59,11 @@ def edge_push(
 
     cost = CostStats()
     edges, converged = push_supersteps(
-        thresholds_df(graph, mode=mode, tol=tol).select("src", "dst", "p", "theta"),
+        graph,
         cost,
+        theta=theta_edge(graph.csr, mode, tol),
         source=source,
         alpha=alpha,
-        rows=graph.csr.nnz,
-        unit=F.lit(1),
-        scan_size=graph.csr.nnz,
         scan_frac=scan_frac,
         max_supersteps=max_supersteps,
     )

@@ -13,9 +13,9 @@ once exactly when R_uv ≥ (1-α)·θ·A_uv
 (:func:`repro.core.thresholds.theta_local`), and the income a node receives
 feeds its out-edges as EdgePush's does: batch LocalPush is batch EdgePush at
 that threshold. So the superstep, with the PowForPush scan switch over the
-n nodes (a scan superstep is a power-iteration pass, cost ≈ 2m), is
-:func:`repro.core.runtime.push_supersteps` with one push per node: its unit
-is 1 on each node's first CSR edge. Work accounting matches the paper's:
+nodes with edges (a scan superstep is a power-iteration pass, cost ≈ 2m),
+is :func:`repro.core.runtime.push_supersteps` with one push per node: its
+unit is 1 on each node's first CSR edge. Work accounting matches the paper's:
 each pushed node u costs n(u) edge touches, one per edge it writes (the
 inefficiency EdgePush removes), and Lemma 11's bound is Lemma 3's at that
 threshold.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
 from repro.core.thresholds import theta_local
@@ -64,19 +63,14 @@ def local_push(
         raise ValueError(f"theta must be >= 0, got {theta}")
 
     csr = graph.csr
-    edges = graph.edge_frame(
-        theta=theta_local(csr, theta, alpha=alpha),
-        head=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),  # u's first edge
-    ).select("src", "dst", "p", "theta", "head")
     cost = CostStats()
     edges, converged = push_supersteps(
-        edges,
+        graph,
         cost,
+        theta=theta_local(csr, theta, alpha=alpha),
+        unit=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),  # u's first edge
         source=source,
         alpha=alpha,
-        rows=graph.csr.nnz,
-        unit=F.col("head"),
-        scan_size=graph.n,
         scan_frac=scan_frac,
         max_supersteps=max_supersteps,
     )

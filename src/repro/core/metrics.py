@@ -55,8 +55,7 @@ def conductance_of_set(csr: CSR, members: np.ndarray) -> float:
     """Φ(S) = cut(S) / min(vol(S), vol(V∖S)) for a boolean membership mask."""
     vol_s = float(csr.deg[members].sum())
     vol_rest = float(csr.deg.sum()) - vol_s
-    src = csr.src
-    crossing = members[src] != members[csr.indices]
+    crossing = members[csr.src] != members[csr.indices]
     cut = float(csr.weights[crossing].sum()) / 2.0  # each undirected edge seen twice
     denom = min(vol_s, vol_rest)
     return cut / denom if denom > 0 else np.inf

@@ -14,7 +14,7 @@ The paper computes ground truths by running Power Method
   Each iteration is booked as one Θ(m) pass, 2m pushes and 2m edge touches
   (the inefficiency the paper contrasts local methods against), whatever
   the residue's support. The iterate π̂_L + r_L is numpy over LocalPush's
-  per-node state.
+  dense per-node state.
 """
 from __future__ import annotations
 
@@ -51,14 +51,12 @@ def power_method(
 ) -> PPRResult:
     """Distributed Power Method: ``iters`` supersteps of θ = 0 LocalPush,
     estimate π̂ + r = α·out + r. Raises ``ValueError`` for α ∉ (0,1), a
-    source that is not a node with edges, or ``iters < 0``."""
-    if not iters >= 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    source that is not a node with edges, or ``iters`` that is not an
+    integer ≥ 0."""
+    if not isinstance(iters, (int, np.integer)) or isinstance(iters, bool) or iters < 0:
+        raise ValueError(f"iters must be an integer >= 0, got {iters!r}")
     res = local_push(graph, source, alpha=alpha, theta=0.0, max_supersteps=iters)
-    state = res.state
-    est = np.bincount(
-        state["node"], alpha * state["out"] + state["r"], minlength=graph.n
-    )
+    est = res.estimate + res.state["r"].to_numpy()
     two_m = graph.csr.nnz
     cost = CostStats(
         supersteps=iters,

@@ -20,11 +20,11 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
   the superstep is one stage and one task.
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
-EdgePush, LocalPush and the Power Method. It owns the edge state and the
-superstep's update; each method supplies only its per-edge threshold
-θ(u,v) and push unit (LocalPush is EdgePush at θ(u,v) = (1-α)·θ·A_uv with
-one push per node). A superstep is one Spark job: the checkpoint that
-materializes the new state also counts its candidates. Every Column a
+EdgePush, LocalPush and the Power Method. It owns the edge state, its
+Spark frame and the superstep's update; each method supplies only numpy
+arrays of its per-edge threshold θ(u,v) and push unit (LocalPush is
+EdgePush at θ(u,v) = (1-α)·θ·A_uv with one push per node). A superstep is
+one Spark job: the checkpoint that materializes the new state also counts its candidates. Every Column a
 superstep uses is built once per query, before the loop, so a superstep
 only chains Dataset calls on the driver. One collect of the terminal state
 ends the loop; what follows it is numpy.
@@ -46,9 +46,9 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.graph import CSR
+from repro.graphs.graph import CSR, WeightedGraph
 
-DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of n
+DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of the push units
 
 
 @dataclass
@@ -93,9 +93,8 @@ class PPRResult:
     at its superstep or push cap with candidates left, so the paper's bound
     does not hold for ``estimate``. ``state`` is the terminal state of a
     push run as pandas, ``None`` for the walk methods and the Power Method:
-    batch EdgePush ``(src, dst, p, theta, r, out)``, batch LocalPush
-    ``(node, r, out)`` and sequential LocalPush ``(node, r)`` over all n
-    nodes, and sequential EdgePush ``(src, dst, r, out)`` in CSR order;
+    EdgePush (batch or sequential) ``(src, dst, r, out)`` in CSR order,
+    LocalPush (batch or sequential) ``(node, r, out)`` over all n nodes;
     ``out`` is the residue pushed so far.
     """
 
@@ -167,38 +166,37 @@ def check_query(csr: CSR, source: int, alpha: float) -> None:
 
 
 def push_supersteps(
-    edges: DataFrame,
+    graph: WeightedGraph,
     cost: CostStats,
     *,
+    theta: np.ndarray,
+    unit: np.ndarray | None = None,
     source: int,
     alpha: float,
-    rows: int,
-    unit: Column,
-    scan_size: int,
     scan_frac: float | None,
     max_supersteps: int,
 ) -> tuple[pd.DataFrame, bool]:
     """Run a batch edge push from ``source`` to termination; return the
-    final edge state, collected to the driver as pandas, and whether the run
-    converged.
+    terminal edge state ``(src, dst, r, out)`` in CSR order, collected to
+    the driver as pandas, and whether the run converged.
 
-    ``edges`` holds the ``rows`` (2m) static edge rows, with at least the
-    columns ``(src, dst, p, theta)``; the state adds the residue ``r``,
-    (1-α)·p on the source's out-edges, and ``out``, the residue pushed
-    along the edge so far. Each superstep simultaneously pushes every
-    candidate ``r ≥ theta``: its pre-superstep ``r`` moves to ``out``, the
-    pushed ``r`` summed by ``dst`` is the income inc, and every edge ⟨v,w⟩
-    gains (1-α)·inc(v)·p. The strict ``r > 0`` guard keeps zero residues
-    from ever being candidates, even where a threshold is or underflows to
-    0. A pushed edge is one edge touch; ``unit``, a column over the edges,
-    is the pushes it books.
+    ``theta`` (θ(u,v)) and ``unit`` (the pushes a pushed edge books; one if
+    ``None``) are numpy arrays in CSR order. The state is the 2m edges of
+    ``graph.edge_frame`` with the residue ``r``, (1-α)·p on the source's
+    out-edges, and ``out``, the residue pushed along the edge so far. Each
+    superstep simultaneously pushes every candidate ``r ≥ theta``: its
+    pre-superstep ``r`` moves to ``out``, the pushed ``r`` summed by
+    ``dst`` is the income inc, and every edge ⟨v,w⟩ gains (1-α)·inc(v)·p.
+    The strict ``r > 0`` guard keeps zero residues from ever being
+    candidates, even where a threshold is or underflows to 0. A pushed edge
+    is one edge touch.
 
     Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates' units
-    outnumber ``scan_frac · scan_size``, the superstep pushes *every* edge
-    with r > 0, a sequential pass over the residue array, instead of only
-    the candidates; pushes and touches are booked for what is pushed.
+    outnumber ``scan_frac · Σunit``, the superstep pushes *every* edge with
+    r > 0, a sequential pass over the residue array, instead of only the
+    candidates; pushes and touches are booked for what is pushed.
 
-    In :func:`few_shuffle_partitions` over ``rows``, the state is
+    In :func:`few_shuffle_partitions` over the 2m rows, the state is
     partitioned by ``src``, so a superstep shuffles at most the income, and
     nothing at one partition (every state of at most
     :data:`ROWS_PER_PARTITION` rows); it is checkpointed initially and
@@ -209,14 +207,18 @@ def push_supersteps(
     ``max_supersteps``; ``cost`` brackets the loop, and one job after it
     collects the terminal state.
     """
+    csr = graph.csr
+    per_edge = {"theta": theta} if unit is None else {"theta": theta, "unit": unit}
+    edges = graph.edge_frame(**per_edge).select("src", "dst", "p", *per_edge)
+    units, scan_size = (F.lit(1), csr.nnz) if unit is None else (F.col("unit"), int(unit.sum()))
     r, out, p = F.col("r"), F.col("out"), F.col("p")
     is_cand = (r >= F.col("theta")) & (r > 0)
     nonzero = r > 0
     counts = (
         F.sum(is_cand.cast("long")).alias("n_cand"),
-        F.sum(F.when(is_cand, unit).otherwise(0)).alias("cand_units"),
+        F.sum(F.when(is_cand, units).otherwise(0)).alias("cand_units"),
         F.sum(nonzero.cast("long")).alias("n_nz"),
-        F.sum(F.when(nonzero, unit).otherwise(0)).alias("nz_units"),
+        F.sum(F.when(nonzero, units).otherwise(0)).alias("nz_units"),
     )
     static = [F.col(c) for c in edges.columns]
     income = F.sum("r").alias("inc")
@@ -247,7 +249,7 @@ def push_supersteps(
         F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
         F.lit(0.0).alias("out"),
     )
-    with few_shuffle_partitions(edges.sparkSession, rows):
+    with few_shuffle_partitions(graph.spark, csr.nnz):
         state, agg = counted_checkpoint(state.repartition("src"))
         cost.start()
         for _ in range(max_supersteps):
@@ -260,4 +262,5 @@ def push_supersteps(
             )
             state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
         cost.stop()
-        return state.toPandas(), not agg["n_cand"]
+        final = state.select("src", "dst", "r", "out").toPandas()
+    return final.sort_values(["src", "dst"], ignore_index=True), not agg["n_cand"]

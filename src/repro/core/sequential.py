@@ -44,7 +44,8 @@ def sequential_local_push(
 
     Pushes node ``u`` while ``r(u) ≥ d(u)·θ``; each push touches all n(u)
     incident edges — the inefficiency EdgePush removes on unbalanced graphs.
-    The result's ``state`` is ``(node, r)`` over all n nodes, and
+    The result's ``state`` is ``(node, r, out)`` over all n nodes, with
+    ``out`` the residue pushed from the node, so π̂ = α·out, and
     ``converged`` is False when the run stopped at ``max_pushes`` with the
     queue not empty. Raises ``ValueError`` for α ∉ (0,1), a source that is
     not a node with edges, or θ ≤ 0 or NaN, which push zero mass until the
@@ -54,7 +55,7 @@ def sequential_local_push(
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     r = np.zeros(csr.n)
-    pi = np.zeros(csr.n)
+    out = np.zeros(csr.n)
     r[source] = 1.0
     deg, indptr, indices, w = csr.deg, csr.indptr, csr.indices, csr.weights
     cost = CostStats().start()
@@ -67,7 +68,7 @@ def sequential_local_push(
         ru = r[u]
         if ru < deg[u] * theta:
             continue
-        pi[u] += alpha * ru
+        out[u] += ru
         lo, hi = indptr[u], indptr[u + 1]
         nbrs = indices[lo:hi]
         r[nbrs] += (1.0 - alpha) * ru * w[lo:hi] / deg[u]
@@ -78,8 +79,8 @@ def sequential_local_push(
                 in_queue[v] = True
                 queue.append(v)
     cost.stop()
-    state = pd.DataFrame({"node": np.arange(csr.n), "r": r})
-    return PPRResult(estimate=pi, cost=cost, converged=not queue, state=state)
+    state = pd.DataFrame({"node": np.arange(csr.n), "r": r, "out": out})
+    return PPRResult(estimate=alpha * out, cost=cost, converged=not queue, state=state)
 
 
 def sequential_edge_push(

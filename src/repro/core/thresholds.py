@@ -10,9 +10,9 @@ derives Cauchy–Schwarz-optimal settings:
 LocalPush's node threshold d(u)·θ is the per-edge threshold
 θ(u,v) = (1-α)·θ·A_uv on its edge residues (:func:`theta_local`).
 
-All three are numpy arrays over the CSR's directed edges; the sequential
-reference reads them directly and :func:`thresholds_df` attaches them to
-the edges as a Spark DataFrame for the distributed batch EdgePush.
+All three are numpy arrays over the CSR's directed edges, which the push
+kernels take as they are; :func:`theta_edge` maps an EdgePush mode to its
+thresholds, and :func:`thresholds_df` is their Spark view.
 
 One cost bound serves both push algorithms, per source s with PPR vector
 π_s: Lemma 3's :func:`edgepush_source_cost`, which at :func:`theta_local`
@@ -65,19 +65,22 @@ def theta_local(csr: CSR, theta: float, *, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * theta * csr.weights
 
 
-# ------------------------------------------------------------ Spark builder
 _THETAS = {"l1": theta_l1, "additive": theta_additive}
 
 
-def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
-    """Edge DataFrame ``(src, dst, weight, p, theta)`` for batch EdgePush.
-
-    ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε) or ``"additive"`` (Theorem 3,
-    ``tol`` = r_max).
-    """
+def theta_edge(csr: CSR, mode: str, tol: float) -> np.ndarray:
+    """EdgePush's thresholds for ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε)
+    or ``"additive"`` (Theorem 3, ``tol`` = r_max)."""
     if mode not in _THETAS:
         raise ValueError(f"unknown threshold mode: {mode!r}")
-    return graph.edge_frame(theta=_THETAS[mode](graph.csr, tol))
+    return _THETAS[mode](csr, tol)
+
+
+# ------------------------------------------------------------ Spark view
+def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
+    """Edge DataFrame ``(src, dst, weight, p, theta)`` with
+    :func:`theta_edge`'s thresholds."""
+    return graph.edge_frame(theta=theta_edge(graph.csr, mode, tol))
 
 
 # ------------------------------------------------------------ Table-1 cost bounds

@@ -35,29 +35,27 @@ class CSR:
     """Driver-side compressed-sparse-row view of the bi-directed edge set.
 
     Rows (source nodes) are ``0..n-1``; ``indices[indptr[u]:indptr[u+1]]``
-    are u's neighbors sorted ascending, with parallel ``weights``. ``deg``
-    is the weighted degree ``d(u)``; ``nnz == |Ē| == 2m``.
+    are u's neighbors sorted ascending, with parallel ``weights``. ``src``
+    is the source node of each directed edge, parallel to ``indices``, and
+    ``deg`` the weighted degree ``d(u)``; ``nnz == |Ē| == 2m``.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+    src: np.ndarray = field(init=False)
     deg: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         d = np.bincount(src, weights=self.weights, minlength=self.n)
+        object.__setattr__(self, "src", src)
         object.__setattr__(self, "deg", d.astype(np.float64))
 
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    @property
-    def src(self) -> np.ndarray:
-        """Source node of each directed edge, parallel to ``indices``."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def out_degree(self) -> np.ndarray:
         """Neighborhood size n(u) per node."""
@@ -150,14 +148,13 @@ class WeightedGraph:
         *columns)``, in CSR order, with transition probability
         ``p = A_uv / d(u)``; each keyword is one more per-edge column."""
         c = self.csr
-        src = c.src
         return self.spark.createDataFrame(
             pd.DataFrame(
                 {
-                    "src": src,
+                    "src": c.src,
                     "dst": c.indices,
                     "weight": c.weights,
-                    "p": c.weights / c.deg[src],
+                    "p": c.weights / c.deg[c.src],
                     **columns,
                 }
             )

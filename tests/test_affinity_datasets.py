@@ -112,6 +112,15 @@ class TestDatasetRegistry:
         nnz = ds.load(spark, key).csr.nnz
         assert shuffle_partitions(nnz, cores=1 << 30) == 1
 
+    @pytest.mark.parametrize("key", sorted(ds.SPECS))
+    def test_lite_has_a_push_unit_on_every_node(self, spark, key):
+        """LocalPush books one push on each node's first CSR edge, and its
+        scan switch compares the candidates with a fraction of those units,
+        the nodes with edges. On every lite that is all n nodes."""
+        csr = ds.load(spark, key).csr
+        head = np.diff(csr.src, prepend=-1) != 0
+        assert head.sum() == csr.n
+
     def test_load_cached(self, spark):
         assert ds.load(spark, "TH") is ds.load(spark, "TH")
 

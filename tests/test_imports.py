@@ -25,3 +25,26 @@ def test_found_modules():
 @pytest.mark.parametrize("name", MODULES + BENCHMARKS)
 def test_imports(name):
     importlib.import_module(name)
+
+
+def test_benchmark_lookups_resolve():
+    """The benchmark (``perfbench/``) looks up program names that the unit
+    suite reaches no other way: its traced layer hooks patch module
+    globals such as ``edgepush.thresholds_df``, its checker reads
+    ``PPRResult.vector`` and its traced set-up ``WeightedGraph.degrees``
+    and ``transition``. Should one go, every traced query would fail with
+    ``AttributeError``. Entering the hooks untraced runs no Spark job."""
+    from perfbench import tracing, workloads
+
+    from repro.core.runtime import PPRResult
+    from repro.graphs.graph import WeightedGraph
+
+    assert workloads.WORKLOADS
+    with tracing.layer_hooks(tracing.Tracer(layers=False)):
+        pass
+    for owner, name in [
+        (PPRResult, "vector"),
+        (WeightedGraph, "degrees"),
+        (WeightedGraph, "transition"),
+    ]:
+        assert hasattr(owner, name), name

@@ -145,7 +145,7 @@ class TestBatchEdgePush:
 
     def test_terminal_edge_residues_below_threshold(self, any_graph):
         edges = edge_push(any_graph, 0, alpha=ALPHA, mode="l1", tol=0.1).state
-        assert (edges["r"] >= edges["theta"]).sum() == 0
+        assert (edges["r"].to_numpy() >= th.theta_l1(any_graph.csr, 0.1)).sum() == 0
 
     def test_mass_conservation(self, any_graph):
         """α·Σq + ΣR = 1 with q = e_s + Σ out: the income's reserve plus the
@@ -199,6 +199,39 @@ class TestBatchEdgePush:
         gt = ground_truth(g.csr, 2, alpha=ALPHA)
         res = edge_push(g, 2, alpha=ALPHA, mode="l1", tol=0.1)
         assert np.abs(res.estimate - gt).sum() <= 0.1 + 1e-9
+
+
+STATE_METHODS = {
+    "edge_push": lambda g: edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.1),
+    "sequential_edge_push": lambda g: sequential_edge_push(
+        g.csr, 0, th.theta_l1(g.csr, 0.1), alpha=ALPHA
+    ),
+    "local_push": lambda g: local_push(g, 0, alpha=ALPHA, theta=1e-3),
+    "sequential_local_push": lambda g: sequential_local_push(g.csr, 0, alpha=ALPHA, theta=1e-3),
+}
+
+
+@pytest.mark.parametrize("method", sorted(STATE_METHODS))
+def test_state_schema(spark, method):
+    """Push states come in two schemas, batch or sequential alike: an edge
+    method's is ``(src, dst, r, out)`` per directed edge in CSR order, with
+    π̂ = α·q and q = e_s + Σ_u out(u,·); a node method's is ``(node, r,
+    out)`` over all n nodes, with π̂ = α·out."""
+    g = get_graph(spark, "er_lognormal")
+    csr = g.csr
+    res = STATE_METHODS[method](g)
+    state = res.state
+    if "edge" in method:
+        assert list(state.columns) == ["src", "dst", "r", "out"]
+        np.testing.assert_array_equal(state["src"], csr.src)
+        np.testing.assert_array_equal(state["dst"], csr.indices)
+        est = ALPHA * np.bincount(state["dst"], state["out"], minlength=csr.n)
+        est[0] += ALPHA
+    else:
+        assert list(state.columns) == ["node", "r", "out"]
+        np.testing.assert_array_equal(state["node"], np.arange(csr.n))
+        est = ALPHA * state["out"].to_numpy()
+    np.testing.assert_allclose(res.estimate, est, rtol=1e-12, atol=0)
 
 
 WORK_RUNS = ["ep_l1", "ep_l1_scan", "ep_add", "lp_l1", "lp_scan"]
@@ -260,16 +293,22 @@ def test_accepts_numpy_integer_source(spark):
         (edge_push, {"tol": float("nan")}),
         (edge_push, {"tol": 0.0}),
         (edge_push, {"tol": -0.1}),
+        (edge_push, {"mode": "nope"}),
         (local_push, {"theta": float("nan")}),
         (local_push, {"theta": -1e-3}),
         (power_method, {"iters": -3}),
+        (power_method, {"iters": 2.5}),
     ],
-    ids=["ep-nan", "ep-zero", "ep-negative", "lp-nan", "lp-negative", "pm-negative"],
+    ids=[
+        "ep-nan", "ep-zero", "ep-negative", "ep-mode",
+        "lp-nan", "lp-negative", "pm-negative", "pm-float",
+    ],
 )
 def test_rejects_bad_tolerance(spark, method, kwargs):
     """A tolerance that voids the paper's bound is refused before any Spark
     job: with θ = NaN nothing is ever a candidate, so the run would report
-    convergence with no pushes."""
+    convergence with no pushes. So are an unknown threshold mode and a
+    number of Power-Method iterations that is not an integer."""
     g = get_graph(spark, "er_lognormal")
     first = highest_job_id(spark)
     with pytest.raises(ValueError):

@@ -35,14 +35,14 @@ class TestSequentialLocalPush:
 
     def test_terminal_residues_below_threshold(self, any_graph):
         """The result holds the dense π̂ and, as ``state``, the terminal
-        residue r(u) of every node."""
+        residue r(u) of every node and out(u), the residue it pushed."""
         csr = any_graph.csr
         theta = 1e-4
         res = sequential_local_push(csr, 0, alpha=ALPHA, theta=theta)
         assert isinstance(res, PPRResult)
         assert isinstance(res.estimate, np.ndarray)
         assert res.estimate.shape == (csr.n,)
-        assert list(res.state.columns) == ["node", "r"]
+        assert list(res.state.columns) == ["node", "r", "out"]
         np.testing.assert_array_equal(res.state["node"], np.arange(csr.n))
         assert (res.state["r"] <= csr.deg * theta + 1e-12).all()
 
