@@ -20,8 +20,6 @@ from repro.graphs import datasets as ds
 def make_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

@@ -5,19 +5,20 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
 - **lineage truncation** — each superstep derives the new state from the
   old one; without truncation Catalyst replans an ever-growing tree.
   :func:`state_checkpoint` eagerly ``localCheckpoint``s the state.
-- **a loop-scoped shuffle layout** — the session default of 64 shuffle
-  partitions is tuned for SF=0.1 OLAP scans, not for a 20k-row edge state
-  updated dozens of times, and adaptive query execution (AQE) would run
-  every shuffle stage of a superstep as its own Spark job and coalesce the
-  partitions, so a checkpointed state would lose its hash partitioning and
-  the next superstep would shuffle all of it again.
-  :func:`few_shuffle_partitions` scopes a partition count sized to the edge
-  state (:func:`shuffle_partitions`: one partition per
-  :data:`ROWS_PER_PARTITION` edge rows, at most ``defaultParallelism``)
-  with AQE off to the algorithm's loop and restores the session values
-  afterwards (the session is shared with other tests). At one partition
-  Catalyst plans a superstep's ``groupBy`` and join with no exchange, so
-  the superstep is one stage and one task.
+- **settings of its own** — :func:`set_loop_conf` sets the four settings
+  the loop's plan depends on in the graph's own Spark session, with no
+  restore; the caller's session is never written to:
+
+  - shuffle partitions sized to the edge state (:func:`shuffle_partitions`:
+    one per :data:`ROWS_PER_PARTITION` edge rows, at most
+    ``defaultParallelism``); at one partition a superstep's ``groupBy`` and
+    join need no exchange, so the superstep is one stage and one task;
+  - adaptive query execution off: it would run every shuffle stage as its
+    own Spark job and coalesce the partitions, so a checkpointed state
+    would lose its hash partitioning and be shuffled again;
+  - broadcast joins off: at Spark's default threshold the income join is
+    a broadcast with a Spark job of its own every superstep;
+  - Arrow on, for the edge frame and the terminal collect.
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
 EdgePush, LocalPush and the Power Method. It owns the edge state, its
@@ -37,7 +38,6 @@ shape comparisons in EXPERIMENTS.md use them alongside wall-clock.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,25 +126,15 @@ def shuffle_partitions(rows: int, cores: int) -> int:
     return min(cores, -(-rows // ROWS_PER_PARTITION))
 
 
-@contextmanager
-def few_shuffle_partitions(spark: SparkSession, rows: int):
-    """Temporarily size ``spark.sql.shuffle.partitions`` to an edge state of
-    ``rows`` rows (:func:`shuffle_partitions` over ``defaultParallelism``)
-    and turn AQE off for a tight loop, so that a checkpointed state keeps
-    its partitioning."""
+def set_loop_conf(spark: SparkSession, rows: int) -> None:
+    """Set the push loop's settings in ``spark``, a graph's own session:
+    shuffle partitions for an edge state of ``rows`` rows, AQE off,
+    broadcast joins off, Arrow on."""
     partitions = shuffle_partitions(rows, spark.sparkContext.defaultParallelism)
-    settings = {
-        "spark.sql.shuffle.partitions": str(partitions),
-        "spark.sql.adaptive.enabled": "false",
-    }
-    old = {key: spark.conf.get(key) for key in settings}
-    for key, value in settings.items():
-        spark.conf.set(key, value)
-    try:
-        yield
-    finally:
-        for key, value in old.items():
-            spark.conf.set(key, value)
+    spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", "-1")
+    spark.conf.set("spark.sql.execution.arrow.pyspark.enabled", "true")
 
 
 def state_checkpoint(df: DataFrame) -> DataFrame:
@@ -196,9 +186,9 @@ def push_supersteps(
     r > 0, a sequential pass over the residue array, instead of only the
     candidates; pushes and touches are booked for what is pushed.
 
-    In :func:`few_shuffle_partitions` over the 2m rows, the state is
-    partitioned by ``src``, so a superstep shuffles at most the income, and
-    nothing at one partition (every state of at most
+    Under :func:`set_loop_conf` for the 2m rows, in ``graph.spark``, the
+    state is partitioned by ``src``, so a superstep shuffles at most the
+    income, and nothing at one partition (every state of at most
     :data:`ROWS_PER_PARTITION` rows); it is checkpointed initially and
     after every superstep. The checkpoint's own job also computes, as
     observed metrics (``DataFrame.observe``), the next superstep's candidate
@@ -208,6 +198,7 @@ def push_supersteps(
     collects the terminal state.
     """
     csr = graph.csr
+    set_loop_conf(graph.spark, csr.nnz)
     per_edge = {"theta": theta} if unit is None else {"theta": theta, "unit": unit}
     edges = graph.edge_frame(**per_edge).select("src", "dst", "p", *per_edge)
     units, scan_size = (F.lit(1), csr.nnz) if unit is None else (F.col("unit"), int(unit.sum()))
@@ -249,18 +240,17 @@ def push_supersteps(
         F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
         F.lit(0.0).alias("out"),
     )
-    with few_shuffle_partitions(graph.spark, csr.nnz):
-        state, agg = counted_checkpoint(state.repartition("src"))
-        cost.start()
-        for _ in range(max_supersteps):
-            if not agg["n_cand"]:
-                break
-            scan = scan_frac is not None and agg["cand_units"] > scan_frac * scan_size
-            cost.add_superstep(
-                pushes=agg["nz_units"] if scan else agg["cand_units"],
-                edge_touches=agg["n_nz"] if scan else agg["n_cand"],
-            )
-            state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
-        cost.stop()
-        final = state.select("src", "dst", "r", "out").toPandas()
+    state, agg = counted_checkpoint(state.repartition("src"))
+    cost.start()
+    for _ in range(max_supersteps):
+        if not agg["n_cand"]:
+            break
+        scan = scan_frac is not None and agg["cand_units"] > scan_frac * scan_size
+        cost.add_superstep(
+            pushes=agg["nz_units"] if scan else agg["cand_units"],
+            edge_touches=agg["n_nz"] if scan else agg["n_cand"],
+        )
+        state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
+    cost.stop()
+    final = state.select("src", "dst", "r", "out").toPandas()
     return final.sort_values(["src", "dst"], ignore_index=True), not agg["n_cand"]

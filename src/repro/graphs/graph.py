@@ -91,10 +91,16 @@ class WeightedGraph:
     ``(src, dst)``, with node ids in ``[0, n)`` and positive weights. Build
     from raw pairs with :meth:`from_undirected_pandas`, which checks them;
     the constructor takes a CSR as it is.
+
+    ``spark`` is the graph's own session, new from the one it is given: it
+    shares that session's SparkContext and cache but has its own SQL conf.
+    Every frame of the graph lives in it: the push loop's state, whose
+    settings the loop sets there (``repro.core.runtime.set_loop_conf``),
+    and the ``transition``, ``degrees`` and ``thresholds_df`` views.
     """
 
     def __init__(self, spark: SparkSession, csr: CSR):
-        self.spark = spark
+        self.spark = spark.newSession()
         self.csr = csr
         self.n = csr.n
 

@@ -328,10 +328,7 @@ def highest_job_id(spark) -> int:
     return max(ids) if ids else -1
 
 
-@pytest.mark.parametrize("method", ["edge_push", "local_push"])
-def test_jobs_per_query(spark, method):
-    """A superstep is one Spark job: its checkpoint also counts the next
-    superstep's candidates."""
+def assert_jobs_per_query(spark, method: str) -> None:
     g = get_graph(spark, "er_lognormal")
     theta = 0.05 / g.csr.norm_a()
     first = highest_job_id(spark)
@@ -341,6 +338,32 @@ def test_jobs_per_query(spark, method):
         res = local_push(g, 0, alpha=ALPHA, theta=theta)
     assert res.cost.supersteps > 10
     assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS
+
+
+@pytest.mark.parametrize("method", ["edge_push", "local_push"])
+def test_jobs_per_query(spark, method):
+    """A superstep is one Spark job: its checkpoint also counts the next
+    superstep's candidates."""
+    assert_jobs_per_query(spark, method)
+
+
+BROADCAST = "spark.sql.autoBroadcastJoinThreshold"
+DEFAULT_BROADCAST = "10485760"  # Spark's default threshold, 10 MB
+
+
+@pytest.mark.parametrize("method", ["edge_push", "local_push"])
+def test_jobs_per_query_default_broadcast(spark, method):
+    """The plan does not depend on the caller's session. At Spark's default
+    broadcast threshold the income join would be a broadcast with a Spark
+    job of its own every superstep; the loop turns broadcast joins off in
+    the graph's session and leaves the caller's threshold as it is."""
+    old = spark.conf.get(BROADCAST)
+    spark.conf.set(BROADCAST, DEFAULT_BROADCAST)
+    try:
+        assert_jobs_per_query(spark, method)
+        assert spark.conf.get(BROADCAST) == DEFAULT_BROADCAST
+    finally:
+        spark.conf.set(BROADCAST, old)
 
 
 def test_power_method_jobs(spark):
@@ -493,17 +516,43 @@ def test_walk_phase_jobs(spark, method, graph_name):
     assert highest_job_id(spark) - first == WALK_JOBS[method]
 
 
-@pytest.mark.parametrize("method", [edge_push, local_push])
+ARROW = "spark.sql.execution.arrow.pyspark.enabled"
+# The settings the push loop's plan depends on (runtime.set_loop_conf).
+LOOP_KEYS = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled", BROADCAST, ARROW)
+
+
+def test_loop_settings(spark):
+    """The loop's partition count follows the edge rows, one partition per
+    ROWS_PER_PARTITION up to the core count. A push query sets it, AQE off,
+    broadcast joins off and Arrow on in the graph's own session."""
+    cores = spark.sparkContext.defaultParallelism
+    per = runtime.ROWS_PER_PARTITION
+    for rows, partitions in [(1, 1), (per, 1), (per + 1, min(2, cores)), (10**9, cores)]:
+        assert runtime.shuffle_partitions(rows, cores) == partitions, rows
+    g = get_graph(spark, "er_lognormal")
+    edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.5)
+    assert g.spark is not spark
+    partitions = str(runtime.shuffle_partitions(g.csr.nnz, cores))
+    assert [g.spark.conf.get(k) for k in LOOP_KEYS] == [partitions, "false", "-1", "true"]
+
+
+@pytest.mark.parametrize("method", [edge_push, local_push, power_method, fora])
 @pytest.mark.parametrize("source", [0, 2], ids=["returns", "raises"])
-def test_loop_scope_restores_session_conf(spark, method, source):
-    """The loop's shuffle settings are put back on a normal return and when
-    the loop refuses a source with no edges (node 2)."""
-    keys = ("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions")
-    before = {k: spark.conf.get(k) for k in keys}
-    g = edge_and_isolated(spark)
-    if source == 2:
-        with pytest.raises(ValueError, match="no edges"):
+def test_caller_session_never_changed(spark, method, source):
+    """A query leaves the loop's four settings in the caller's session as
+    it found them, on a normal return and when it refuses a source with no
+    edges (node 2). Arrow is off in the caller's session here, so that the
+    loop turning it on in the graph's session would show."""
+    old_arrow = spark.conf.get(ARROW)
+    spark.conf.set(ARROW, "false")
+    try:
+        before = {k: spark.conf.get(k) for k in LOOP_KEYS}
+        g = edge_and_isolated(spark)
+        if source == 2:
+            with pytest.raises(ValueError, match="no edges"):
+                method(g, source, alpha=ALPHA)
+        else:
             method(g, source, alpha=ALPHA)
-    else:
-        method(g, source, alpha=ALPHA)
-    assert {k: spark.conf.get(k) for k in keys} == before
+        assert {k: spark.conf.get(k) for k in LOOP_KEYS} == before
+    finally:
+        spark.conf.set(ARROW, old_arrow)
