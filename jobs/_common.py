@@ -45,6 +45,41 @@ def dataset_keys(value: str) -> tuple[str, ...]:
     return keys
 
 
+def _parsed(kind: type, value: str, ok, expected: str):
+    """``kind(value)`` if it parses and passes ``ok``; else a usage error,
+    which argparse raises before any Spark session starts."""
+    try:
+        x = kind(value)
+        if ok(x):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+
+def positive_float(value: str) -> float:
+    """The ``--eps``/``--rmax`` type: a number > 0."""
+    return _parsed(float, value, lambda x: x > 0, "a number > 0")
+
+
+def positive_count(value: str) -> int:
+    """The ``--sources``/``--n`` type: an integer >= 1."""
+    return _parsed(int, value, lambda k: k >= 1, "an integer >= 1")
+
+
+def float_grid(value: str) -> tuple[float, ...]:
+    """The ``--rmax-grid``/``--eps-grid``/``--delta-grid`` type:
+    comma-separated numbers > 0."""
+    return tuple(positive_float(x) for x in value.split(","))
+
+
+def iters_grid(value: str) -> tuple[int, ...]:
+    """The ``--iters-grid`` type: comma-separated integers >= 0."""
+    return tuple(
+        _parsed(int, x, lambda k: k >= 0, "an integer >= 0") for x in value.split(",")
+    )
+
+
 def emit(df: pd.DataFrame, out: str | None) -> None:
     pd.set_option("display.width", 220)
     pd.set_option("display.max_columns", 50)

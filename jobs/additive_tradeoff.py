@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, dataset_keys, emit, make_spark
+from _common import base_parser, dataset_keys, emit, float_grid, make_spark, positive_count
 
 from repro.analysis.experiments import additive_tradeoff
 from repro.graphs import datasets as ds
@@ -19,9 +19,9 @@ from repro.graphs import datasets as ds
 def main(argv=None) -> None:
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="YT,TA")
-    p.add_argument("--sources", type=int, default=3)
-    p.add_argument("--rmax-grid", default="1e-3,1e-4,1e-5")
-    p.add_argument("--delta-grid", default="1e-1,1e-2,1e-3")
+    p.add_argument("--sources", type=positive_count, default=3)
+    p.add_argument("--rmax-grid", type=float_grid, default="1e-3,1e-4,1e-5")
+    p.add_argument("--delta-grid", type=float_grid, default="1e-1,1e-2,1e-3")
     args = p.parse_args(argv)
     spark = make_spark("additive_tradeoff")
     emit(
@@ -29,8 +29,8 @@ def main(argv=None) -> None:
             {key: ds.load(spark, key) for key in args.datasets},
             n_sources=args.sources,
             seed=args.seed,
-            rmax_grid=tuple(float(x) for x in args.rmax_grid.split(",")),
-            delta_grid=tuple(float(x) for x in args.delta_grid.split(",")),
+            rmax_grid=args.rmax_grid,
+            delta_grid=args.delta_grid,
         ),
         args.out,
     )

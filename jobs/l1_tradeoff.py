@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, dataset_keys, emit, make_spark
+from _common import (
+    base_parser, dataset_keys, emit, float_grid, iters_grid, make_spark, positive_count,
+)
 
 from repro.analysis.experiments import l1_tradeoff
 from repro.graphs import datasets as ds
@@ -18,9 +20,9 @@ from repro.graphs import datasets as ds
 def main(argv=None) -> None:
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="YT,TA")
-    p.add_argument("--sources", type=int, default=3)
-    p.add_argument("--eps-grid", default="1e-1,1e-2,1e-3")
-    p.add_argument("--iters-grid", default="3,5,7,9")
+    p.add_argument("--sources", type=positive_count, default=3)
+    p.add_argument("--eps-grid", type=float_grid, default="1e-1,1e-2,1e-3")
+    p.add_argument("--iters-grid", type=iters_grid, default="3,5,7,9")
     args = p.parse_args(argv)
     spark = make_spark("l1_tradeoff")
     emit(
@@ -28,8 +30,8 @@ def main(argv=None) -> None:
             {key: ds.load(spark, key) for key in args.datasets},
             n_sources=args.sources,
             seed=args.seed,
-            eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
-            iters_grid=tuple(int(x) for x in args.iters_grid.split(",")),
+            eps_grid=args.eps_grid,
+            iters_grid=args.iters_grid,
         ),
         args.out,
     )

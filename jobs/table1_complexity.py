@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, dataset_keys, emit, make_spark
+from _common import (
+    base_parser, dataset_keys, emit, make_spark, positive_count, positive_float,
+)
 
 from repro.analysis.experiments import table1_complexity, table1_graphs
 
@@ -17,9 +19,9 @@ from repro.analysis.experiments import table1_complexity, table1_graphs
 def main(argv=None) -> None:
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="TH,TA,BC")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--rmax", type=float, default=1e-4)
-    p.add_argument("--sources", type=int, default=3)
+    p.add_argument("--eps", type=positive_float, default=0.01)
+    p.add_argument("--rmax", type=positive_float, default=1e-4)
+    p.add_argument("--sources", type=positive_count, default=3)
     p.add_argument("--impl", choices=("batch", "sequential"), default="batch")
     args = p.parse_args(argv)
     spark = make_spark("table1_complexity")

@@ -9,17 +9,17 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import base_parser, emit, make_spark
+from _common import base_parser, emit, float_grid, make_spark, positive_count
 
 from repro.analysis.experiments import unbalance_sweep
 
 
 def main(argv=None) -> None:
     p = base_parser(__doc__)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--sources", type=int, default=2)
-    p.add_argument("--rmax-grid", default="1e-4,1e-5")
-    p.add_argument("--eps-grid", default="1e-1,1e-2")
+    p.add_argument("--n", type=positive_count, default=300)
+    p.add_argument("--sources", type=positive_count, default=2)
+    p.add_argument("--rmax-grid", type=float_grid, default="1e-4,1e-5")
+    p.add_argument("--eps-grid", type=float_grid, default="1e-1,1e-2")
     args = p.parse_args(argv)
     spark = make_spark("unbalance_sweep")
     emit(
@@ -27,8 +27,8 @@ def main(argv=None) -> None:
             spark,
             n=args.n,
             n_sources=args.sources,
-            rmax_grid=tuple(float(x) for x in args.rmax_grid.split(",")),
-            eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
+            rmax_grid=args.rmax_grid,
+            eps_grid=args.eps_grid,
             seed=args.seed,
         ),
         args.out,

@@ -34,7 +34,6 @@ from repro.core.edgepush import edge_push
 from repro.core.fora import fora, monte_carlo
 from repro.core.localpush import local_push
 from repro.core.power import ground_truth, power_method
-from repro.core.runtime import DEFAULT_SCAN_FRAC
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 from repro.graphs import datasets as ds
 from repro.graphs import generators as gen
@@ -156,8 +155,7 @@ def additive_tradeoff(
             yield "MC", param, partial(monte_carlo, g, alpha=ALPHA, delta=delta, seed=seed)
             yield "FORA", param, partial(fora, g, alpha=ALPHA, delta=delta, seed=seed)
             yield ("SpeedPPR", param,
-                   partial(fora, g, alpha=ALPHA, delta=delta,
-                           scan_frac=DEFAULT_SCAN_FRAC, seed=seed))
+                   partial(fora, g, alpha=ALPHA, delta=delta, scan=True, seed=seed))
 
     return _tradeoff_rows(graphs, runs, n_sources=n_sources, seed=seed)
 
@@ -177,11 +175,9 @@ def l1_tradeoff(
         for eps in eps_grid:
             param = f"eps={eps:g}"
             yield ("EdgePush", param,
-                   partial(edge_push, g, alpha=ALPHA, mode="l1", tol=eps,
-                           scan_frac=DEFAULT_SCAN_FRAC))
+                   partial(edge_push, g, alpha=ALPHA, mode="l1", tol=eps, scan=True))
             yield ("PowForPush", param,
-                   partial(local_push, g, alpha=ALPHA, theta=eps / g.csr.norm_a(),
-                           scan_frac=DEFAULT_SCAN_FRAC))
+                   partial(local_push, g, alpha=ALPHA, theta=eps / g.csr.norm_a(), scan=True))
         for iters in iters_grid:
             yield ("PowerMethod", f"iters={iters:g}",
                    partial(power_method, g, alpha=ALPHA, iters=iters))

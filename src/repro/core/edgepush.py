@@ -39,14 +39,15 @@ def edge_push(
     alpha: float = 0.2,
     mode: str = "l1",
     tol: float = 1e-4,
-    scan_frac: float | None = None,
+    scan: bool = False,
     max_supersteps: int = 500,
 ) -> PPRResult:
     """Approximate SSPPR by batch EdgePush.
 
     ``mode``/``tol`` pick the per-edge thresholds: ``("l1", ε)`` uses
     Theorem 2 (ℓ1-error ≤ ε), ``("additive", r_max)`` uses Theorem 3
-    (normalized additive error ≤ r_max).
+    (normalized additive error ≤ r_max). ``scan=True`` turns on the
+    kernel's §6.2 scan switch over the 2m edges.
 
     The result's ``state`` is the terminal edge state ``(src, dst, r, out)``
     in CSR order as pandas. Raises ``ValueError`` for α ∉ (0,1), a source
@@ -64,7 +65,7 @@ def edge_push(
         theta=theta_edge(graph.csr, mode, tol),
         source=source,
         alpha=alpha,
-        scan_frac=scan_frac,
+        scan=scan,
         max_supersteps=max_supersteps,
     )
     # π̂(v) = α·q(v), q(v) = [v=s] + Σ_u out(u,v)

@@ -16,7 +16,7 @@ differ only in the push phase before it:
   against the number of walks;
 - SpeedPPR (Wu et al.) runs PowForPush down to the same θ, i.e. LocalPush
   with the scan switch of :func:`repro.core.runtime.push_supersteps`:
-  ``fora(..., scan_frac=DEFAULT_SCAN_FRAC)``.
+  ``fora(..., scan=True)``.
 """
 from __future__ import annotations
 
@@ -126,13 +126,13 @@ def fora(
     delta: float = 1e-2,
     eps_r: float = 0.5,
     p_f: float | None = None,
-    scan_frac: float | None = None,
+    scan: bool = False,
     seed: int = 0,
 ) -> PPRResult:
     """FORA SSPPR estimate with relative-error parameters (δ, ε_r, p_f),
-    pushing down to :func:`balanced_theta`; with ``scan_frac`` set, the push
+    pushing down to :func:`balanced_theta`; with ``scan`` set, the push
     phase is PowForPush and this is SpeedPPR."""
     omega = _omega(graph, delta, eps_r, p_f)
     theta = balanced_theta(graph, alpha=alpha, omega=omega)
-    push_res = local_push(graph, source, alpha=alpha, theta=theta, scan_frac=scan_frac)
+    push_res = local_push(graph, source, alpha=alpha, theta=theta, scan=scan)
     return mc_repair(graph, push_res, omega=omega, alpha=alpha, seed=seed)

@@ -40,7 +40,7 @@ def local_push(
     *,
     alpha: float = 0.2,
     theta: float = 1e-6,
-    scan_frac: float | None = None,
+    scan: bool = False,
     max_supersteps: int = 500,
 ) -> PPRResult:
     """Approximate SSPPR by batch LocalPush with global threshold ``θ``.
@@ -52,8 +52,9 @@ def local_push(
     pushes every node with residue, the Power Method. Raises ``ValueError``
     for α ∉ (0,1), a source that is not a node with edges, or θ < 0 or NaN.
 
-    Scan supersteps and θ = 0 push every edge with R_uv > 0. Where
-    (1-α)·inc·p underflows to 0 on an edge of a node that still holds
+    ``scan=True`` is PowForPush: the kernel's scan switch over the nodes
+    with edges. Scan supersteps and θ = 0 push every edge with R_uv > 0.
+    Where (1-α)·inc·p underflows to 0 on an edge of a node that still holds
     residue (weights down to ~1e-300), that edge is neither pushed nor
     booked; it carries no mass, so every bound holds, but such a run's
     pushes and touches can fall below a node-level replay's.
@@ -71,7 +72,7 @@ def local_push(
         unit=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),  # u's first edge
         source=source,
         alpha=alpha,
-        scan_frac=scan_frac,
+        scan=scan,
         max_supersteps=max_supersteps,
     )
     src = edges["src"].to_numpy()

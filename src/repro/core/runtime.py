@@ -48,7 +48,7 @@ from pyspark.sql import functions as F
 
 from repro.graphs.graph import CSR, WeightedGraph
 
-DEFAULT_SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of the push units
+SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of the push units
 
 
 @dataclass
@@ -163,7 +163,7 @@ def push_supersteps(
     unit: np.ndarray | None = None,
     source: int,
     alpha: float,
-    scan_frac: float | None,
+    scan: bool,
     max_supersteps: int,
 ) -> tuple[pd.DataFrame, bool]:
     """Run a batch edge push from ``source`` to termination; return the
@@ -181,10 +181,11 @@ def push_supersteps(
     candidates, even where a threshold is or underflows to 0. A pushed edge
     is one edge touch.
 
-    Scan switch (§6.2, Wu et al.'s PowForPush): when the candidates' units
-    outnumber ``scan_frac · Σunit``, the superstep pushes *every* edge with
-    r > 0, a sequential pass over the residue array, instead of only the
-    candidates; pushes and touches are booked for what is pushed.
+    Scan switch (§6.2, Wu et al.'s PowForPush): with ``scan`` set, a
+    superstep whose candidates' units outnumber :data:`SCAN_FRAC` · Σunit
+    pushes *every* edge with r > 0, a sequential pass over the residue
+    array, instead of only the candidates; pushes and touches are booked
+    for what is pushed.
 
     Under :func:`set_loop_conf` for the 2m rows, in ``graph.spark``, the
     state is partitioned by ``src``, so a superstep shuffles at most the
@@ -234,7 +235,7 @@ def push_supersteps(
         return df, obs.get
 
     cand_step = step(is_cand)
-    scan_step = step(nonzero) if scan_frac is not None else None
+    scan_step = step(nonzero) if scan else None
     state = edges.select(
         *static,
         F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
@@ -245,12 +246,12 @@ def push_supersteps(
     for _ in range(max_supersteps):
         if not agg["n_cand"]:
             break
-        scan = scan_frac is not None and agg["cand_units"] > scan_frac * scan_size
+        scans = scan and agg["cand_units"] > SCAN_FRAC * scan_size
         cost.add_superstep(
-            pushes=agg["nz_units"] if scan else agg["cand_units"],
-            edge_touches=agg["n_nz"] if scan else agg["n_cand"],
+            pushes=agg["nz_units"] if scans else agg["cand_units"],
+            edge_touches=agg["n_nz"] if scans else agg["n_cand"],
         )
-        state, agg = counted_checkpoint((scan_step if scan else cand_step)(state))
+        state, agg = counted_checkpoint((scan_step if scans else cand_step)(state))
     cost.stop()
     final = state.select("src", "dst", "r", "out").toPandas()
     return final.sort_values(["src", "dst"], ignore_index=True), not agg["n_cand"]

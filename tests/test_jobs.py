@@ -47,6 +47,36 @@ class TestJobs:
         err = capsys.readouterr().err
         assert "'XX'" in err and ",".join(ALL_KEYS) in err
 
+    @pytest.mark.parametrize(
+        "name, argv, bad",
+        [
+            ("additive_tradeoff", ["--rmax-grid", "1e-3,x"], "'x'"),
+            ("additive_tradeoff", ["--delta-grid", "1e-1,-1e-2"], "'-1e-2'"),
+            ("additive_tradeoff", ["--sources", "0"], "'0'"),
+            ("l1_tradeoff", ["--iters-grid", "3,4.5"], "'4.5'"),
+            ("l1_tradeoff", ["--iters-grid", "3,-1"], "'-1'"),
+            ("l1_tradeoff", ["--eps-grid", "nan"], "'nan'"),
+            ("unbalance_sweep", ["--eps-grid", "1e-1,"], "''"),
+            ("unbalance_sweep", ["--n", "0"], "'0'"),
+            ("table1_complexity", ["--eps", "0"], "'0'"),
+            ("table1_complexity", ["--rmax", "-0.001"], "'-0.001'"),
+            ("table1_complexity", ["--sources", "2.5"], "'2.5'"),
+        ],
+    )
+    def test_malformed_argument_refused_before_spark(self, name, argv, bad, monkeypatch, capsys):
+        """A grid, count or tolerance the harness would refuse is a usage
+        error that names the bad value, raised before a Spark session is
+        built and the graphs are loaded."""
+        mod = _load(name)
+        started = []
+        monkeypatch.setattr(mod, "make_spark", started.append)
+        with pytest.raises(SystemExit) as exc:
+            mod.main(argv)
+        assert exc.value.code == 2
+        assert not started
+        err = capsys.readouterr().err
+        assert f"argument {argv[0]}" in err and bad in err
+
     def test_table2_stats(self, spark, out_csv, capsys):
         _load("table2_stats").main(["--datasets", "BC", "--out", out_csv])
         df = pd.read_csv(out_csv)

@@ -6,11 +6,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import runtime
 from repro.core.fora import balanced_theta, fora, mc_repair, monte_carlo
 from repro.core.montecarlo import run_walks, walk_count
 from repro.core.power import ground_truth
 from repro.core.localpush import local_push
-from repro.core.runtime import DEFAULT_SCAN_FRAC
 from repro.graphs.graph import WeightedGraph
 
 from .helpers import get_graph
@@ -195,25 +195,26 @@ class TestSpeedPPR:
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         rmax = 1e-3
-        res = local_push(g, 0, alpha=ALPHA, theta=rmax, scan_frac=DEFAULT_SCAN_FRAC)
+        res = local_push(g, 0, alpha=ALPHA, theta=rmax, scan=True)
         err = np.abs(res.estimate - gt) / g.csr.deg
         assert err.max() <= rmax + 1e-9
 
-    def test_powforpush_fewer_supersteps_when_scanning(self, spark):
+    def test_powforpush_fewer_supersteps_when_scanning(self, spark, monkeypatch):
         """Scan mode pushes sub-threshold residues too, so it can only
         converge in fewer (or equal) supersteps."""
         g = get_graph(spark, "er_lognormal")
         plain = local_push(g, 0, alpha=ALPHA, theta=1e-5)
-        pfp = local_push(g, 0, alpha=ALPHA, theta=1e-5, scan_frac=0.05)
+        monkeypatch.setattr(runtime, "SCAN_FRAC", 0.05)
+        pfp = local_push(g, 0, alpha=ALPHA, theta=1e-5, scan=True)
         assert pfp.cost.supersteps <= plain.cost.supersteps
 
     def test_speedppr_accuracy(self, spark):
         g = get_graph(spark, "er_lognormal")
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
-        res = fora(g, 0, alpha=ALPHA, delta=1e-3, scan_frac=DEFAULT_SCAN_FRAC, seed=10)
+        res = fora(g, 0, alpha=ALPHA, delta=1e-3, scan=True, seed=10)
         assert np.abs(res.estimate - gt).sum() < 0.15
 
     def test_speedppr_mass_conserved(self, spark):
         g = get_graph(spark, "star")
-        res = fora(g, 0, alpha=ALPHA, delta=1e-2, scan_frac=DEFAULT_SCAN_FRAC, seed=11)
+        res = fora(g, 0, alpha=ALPHA, delta=1e-2, scan=True, seed=11)
         assert res.estimate.sum() == pytest.approx(1.0, abs=1e-6)

@@ -109,12 +109,13 @@ class TestBatchLocalPush:
         assert res.cost.supersteps >= 1
         assert res.cost.edge_touches >= g.csr.out_degree()[0]
 
-    def test_scan_mode_same_result(self, spark):
+    def test_scan_mode_same_result(self, spark, monkeypatch):
         g = get_graph(spark, "er_lognormal")
         csr = g.csr
         theta = 1e-3
         plain = local_push(g, 0, alpha=ALPHA, theta=theta)
-        scan = local_push(g, 0, alpha=ALPHA, theta=theta, scan_frac=0.05)
+        monkeypatch.setattr(runtime, "SCAN_FRAC", 0.05)
+        scan = local_push(g, 0, alpha=ALPHA, theta=theta, scan=True)
         gt = ground_truth(csr, 0, alpha=ALPHA)
         for r in (plain, scan):
             assert (np.abs(r.estimate - gt) / csr.deg).max() <= theta + 1e-9
@@ -171,9 +172,10 @@ class TestBatchEdgePush:
         ep = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=eps)
         assert ep.cost.edge_touches < lp.cost.edge_touches / 3
 
-    def test_scan_mode_same_guarantee(self, spark):
+    def test_scan_mode_same_guarantee(self, spark, monkeypatch):
         g = get_graph(spark, "er_lognormal")
-        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan_frac=0.05)
+        monkeypatch.setattr(runtime, "SCAN_FRAC", 0.05)
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan=True)
         gt = ground_truth(g.csr, 0, alpha=ALPHA)
         assert np.abs(res.estimate - gt).sum() <= 0.05 + 1e-9
 
@@ -234,32 +236,39 @@ def test_state_schema(spark, method):
     np.testing.assert_allclose(res.estimate, est, rtol=1e-12, atol=0)
 
 
-WORK_RUNS = ["ep_l1", "ep_l1_scan", "ep_add", "lp_l1", "lp_scan"]
+WORK_RUNS = [
+    "ep_l1", "ep_l1_scan", "ep_add", "lp_l1", "lp_scan", "ep_l1_scan_shipped", "lp_scan_shipped",
+]
 # (supersteps, pushes, edge_touches) from source 0, recorded per graph in
 # WORK_RUNS order; a loop that mis-books scan-mode pushes changes these
-# while still meeting every error bound.
+# while still meeting every error bound. The *_scan runs scan at
+# SCAN_FRAC = 0.05, the *_scan_shipped runs at the shipped SCAN_FRAC, the
+# schedule of every PowForPush, SpeedPPR and scan-switched EdgePush row.
 EXPECTED_WORK = {
-    "star": [(18, 186, 186), (18, 186, 186), (28, 890, 890), (17, 329, 679), (28, 573, 1119)],
-    "er_lognormal": [(27, 3500, 3500), (29, 5397, 5397), (8, 205, 205), (25, 770, 5345), (6, 164, 1165)],
-    "complete_unbalanced": [(25, 1917, 1917), (23, 14055, 14055), (20, 1234, 1234), (25, 169, 7943), (20, 821, 38587)],
+    "star": [(18, 186, 186), (18, 186, 186), (28, 890, 890), (17, 329, 679), (28, 573, 1119),
+             (18, 186, 186), (28, 573, 1119)],
+    "er_lognormal": [(27, 3500, 3500), (29, 5397, 5397), (8, 205, 205), (25, 770, 5345), (6, 164, 1165),
+                     (23, 5037, 5037), (8, 116, 836)],
+    "complete_unbalanced": [(25, 1917, 1917), (23, 14055, 14055), (20, 1234, 1234), (25, 169, 7943), (20, 821, 38587),
+                            (25, 1917, 1917), (19, 378, 17766)],
 }
 
 
 @pytest.mark.parametrize("graph_name", sorted(EXPECTED_WORK))
 @pytest.mark.parametrize("run", WORK_RUNS)
-def test_exact_work(spark, graph_name, run):
+def test_exact_work(spark, monkeypatch, graph_name, run):
     """Pin the superstep schedule's exact work, scan-mode pushes included."""
     g = get_graph(spark, graph_name)
-    if run == "ep_l1":
-        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05)
-    elif run == "ep_l1_scan":
-        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan_frac=0.05)
+    if run.endswith("_scan"):
+        monkeypatch.setattr(runtime, "SCAN_FRAC", 0.05)
+    if run.startswith("ep_l1"):
+        res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=0.05, scan="scan" in run)
     elif run == "ep_add":
         res = edge_push(g, 0, alpha=ALPHA, mode="additive", tol=1e-3)
     elif run == "lp_l1":
         res = local_push(g, 0, alpha=ALPHA, theta=0.05 / g.csr.norm_a())
     else:
-        res = local_push(g, 0, alpha=ALPHA, theta=1e-3, scan_frac=0.05)
+        res = local_push(g, 0, alpha=ALPHA, theta=1e-3, scan=True)
     c = res.cost
     expected = EXPECTED_WORK[graph_name][WORK_RUNS.index(run)]
     assert (c.supersteps, c.pushes, c.edge_touches) == expected
