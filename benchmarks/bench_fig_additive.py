@@ -4,27 +4,18 @@
 
 Each method runs from 2 degree-sampled sources per dataset (seed 0). One
 row per (dataset, method, source, parameter) carries all three metric
-groups; jobs/additive_tradeoff.py runs the full 8-dataset sweep.
+groups; jobs/additive_tradeoff.py takes any of the eight lites as --datasets.
 """
-from repro.analysis.experiments import additive_tradeoff
-from repro.graphs import datasets as ds
+from jobs import additive_tradeoff
 
-from ._util import run_and_save
-
-DATASETS = ("YT", "TA")
+from . import RESULTS_DIR
 
 
 def test_fig_additive_tradeoffs(benchmark, spark):
-    def run():
-        return additive_tradeoff(
-            {key: ds.load(spark, key) for key in DATASETS},
-            n_sources=2,
-            seed=0,
-            rmax_grid=(1e-3, 1e-4),
-            delta_grid=(1e-1, 1e-2),
-        )
-
-    df = run_and_save(benchmark, "fig_additive_tradeoffs", run)
+    argv = ["--datasets", "YT,TA", "--sources", "2", "--seed", "0",
+            "--rmax-grid", "1e-3,1e-4", "--delta-grid", "1e-1,1e-2",
+            "--out", str(RESULTS_DIR / "fig_additive_tradeoffs.csv")]
+    df = benchmark.pedantic(additive_tradeoff.main, args=(argv,), rounds=1, iterations=1)
     # the paper's headline (Figs 4/7): at matched r_max EdgePush-Add
     # dominates MAPPR — lower realized error at every tolerance, and less
     # work at the tight tolerances where the methods actually do work.

@@ -1,19 +1,15 @@
 """Benchmark/repro of Figures 16/17: EdgePush vs LocalPush on the four
 §6.3 affinity graphs calibrated to the paper's cos²φ (0.01 → 0.66); the
 work gap must shrink as the weights balance."""
-from repro.analysis.experiments import unbalance_sweep
+from jobs import unbalance_sweep
 
-from ._util import run_and_save
+from . import RESULTS_DIR
 
 
 def test_fig_unbalance_sweep(benchmark, spark):
-    df = run_and_save(
-        benchmark,
-        "fig_unbalance_sweep",
-        lambda: unbalance_sweep(
-            spark, n=300, n_sources=2, rmax_grid=(1e-4,), eps_grid=(1e-2,), seed=0
-        ),
-    )
+    argv = ["--n", "300", "--sources", "2", "--rmax-grid", "1e-4", "--eps-grid", "1e-2",
+            "--seed", "0", "--out", str(RESULTS_DIR / "fig_unbalance_sweep.csv")]
+    df = benchmark.pedantic(unbalance_sweep.main, args=(argv,), rounds=1, iterations=1)
     # per-graph mean work ratio EdgePush/LocalPush, ℓ1 regime: should
     # increase (gap shrinks) with the graph's cos²φ
     l1 = df[df["regime"] == "l1"]

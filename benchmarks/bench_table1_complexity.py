@@ -3,21 +3,16 @@ bulk-synchronous batch schedules, 2 degree-sampled sources) against each
 algorithm's per-source cost bound (Lemma 3, Lemma 11) and the predicted
 improvement factors (1-α)·cos²φ (ℓ1) and (1-α)/2m·Σ n_v·cos²φ_v
 (additive)."""
-from repro.analysis.experiments import table1_complexity, table1_graphs
+from jobs import table1_complexity
 
-from ._util import run_and_save
-
-LITES = {"TH-lite(balanced)": "TH", "TA-lite(skewed)": "TA", "BC-lite": "BC"}
+from . import RESULTS_DIR
 
 
 def test_table1_complexity(benchmark, spark):
-    def run():
-        return table1_complexity(
-            table1_graphs(spark, LITES),
-            eps=0.01, rmax=1e-4, n_sources=2, seed=0, impl="batch",
-        )
-
-    df = run_and_save(benchmark, "table1_complexity", run)
+    argv = ["--datasets", "TH,TA,BC", "--eps", "0.01", "--rmax", "1e-4", "--sources", "2",
+            "--seed", "0", "--impl", "batch",
+            "--out", str(RESULTS_DIR / "table1_complexity.csv")]
+    df = benchmark.pedantic(table1_complexity.main, args=(argv,), rounds=1, iterations=1)
     # Table 1's claim per algorithm: measured work stays within its bound
     for algo in ("lp", "ep"):
         for regime in ("l1", "add"):

@@ -1,14 +1,14 @@
 """Benchmark/repro of Table 2: dataset metadata (n, m, weights, cos²φ)
 for all eight dataset-lites, next to the paper's published values."""
-from repro.analysis.experiments import table2_rows
+from jobs import table2_stats
 from repro.graphs.datasets import ALL_KEYS
 
-from ._util import run_and_save
+from . import RESULTS_DIR
 
 
 def test_table2_datasets(benchmark, spark):
-    df = run_and_save(
-        benchmark, "table2_datasets", lambda: table2_rows(spark, keys=ALL_KEYS)
-    )
+    argv = ["--datasets", ",".join(ALL_KEYS), "--seed", "0",
+            "--out", str(RESULTS_DIR / "table2_datasets.csv")]
+    df = benchmark.pedantic(table2_stats.main, args=(argv,), rounds=1, iterations=1)
     assert len(df) == 8
     assert (df["cos2_phi"] > 0).all()

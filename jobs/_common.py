@@ -9,6 +9,7 @@ Run as ``spark-submit jobs/<name>.py [...]`` or plain ``python``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import pandas as pd
@@ -28,7 +29,7 @@ def make_spark(app: str) -> SparkSession:
 def base_parser(description: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=description)
     p.add_argument("--out", default=None, help="optional CSV output path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     return p
 
 
@@ -58,8 +59,13 @@ def _parsed(kind: type, value: str, ok, expected: str):
 
 
 def positive_float(value: str) -> float:
-    """The ``--eps``/``--rmax`` type: a number > 0."""
-    return _parsed(float, value, lambda x: x > 0, "a number > 0")
+    """The ``--eps``/``--rmax`` type: a finite number > 0."""
+    return _parsed(float, value, lambda x: 0 < x < math.inf, "a finite number > 0")
+
+
+def non_negative_int(value: str) -> int:
+    """The ``--seed`` type: an integer >= 0."""
+    return _parsed(int, value, lambda k: k >= 0, "an integer >= 0")
 
 
 def positive_count(value: str) -> int:
@@ -69,21 +75,21 @@ def positive_count(value: str) -> int:
 
 def float_grid(value: str) -> tuple[float, ...]:
     """The ``--rmax-grid``/``--eps-grid``/``--delta-grid`` type:
-    comma-separated numbers > 0."""
+    comma-separated finite numbers > 0."""
     return tuple(positive_float(x) for x in value.split(","))
 
 
 def iters_grid(value: str) -> tuple[int, ...]:
     """The ``--iters-grid`` type: comma-separated integers >= 0."""
-    return tuple(
-        _parsed(int, x, lambda k: k >= 0, "an integer >= 0") for x in value.split(",")
-    )
+    return tuple(non_negative_int(x) for x in value.split(","))
 
 
-def emit(df: pd.DataFrame, out: str | None) -> None:
+def emit(df: pd.DataFrame, out: str | None) -> pd.DataFrame:
+    """Print ``df``, write it to ``out`` if given, and return it."""
     pd.set_option("display.width", 220)
     pd.set_option("display.max_columns", 50)
     print(df.to_string(index=False))
     if out:
         df.to_csv(out, index=False)
         print(f"\nwrote {out}", file=sys.stderr)
+    return df

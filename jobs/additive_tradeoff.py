@@ -16,7 +16,7 @@ from repro.analysis.experiments import additive_tradeoff
 from repro.graphs import datasets as ds
 
 
-def main(argv=None) -> None:
+def main(argv=None):
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="YT,TA")
     p.add_argument("--sources", type=positive_count, default=3)
@@ -24,7 +24,7 @@ def main(argv=None) -> None:
     p.add_argument("--delta-grid", type=float_grid, default="1e-1,1e-2,1e-3")
     args = p.parse_args(argv)
     spark = make_spark("additive_tradeoff")
-    emit(
+    return emit(
         additive_tradeoff(
             {key: ds.load(spark, key) for key in args.datasets},
             n_sources=args.sources,

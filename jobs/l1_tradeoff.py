@@ -17,7 +17,7 @@ from repro.analysis.experiments import l1_tradeoff
 from repro.graphs import datasets as ds
 
 
-def main(argv=None) -> None:
+def main(argv=None):
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="YT,TA")
     p.add_argument("--sources", type=positive_count, default=3)
@@ -25,7 +25,7 @@ def main(argv=None) -> None:
     p.add_argument("--iters-grid", type=iters_grid, default="3,5,7,9")
     args = p.parse_args(argv)
     spark = make_spark("l1_tradeoff")
-    emit(
+    return emit(
         l1_tradeoff(
             {key: ds.load(spark, key) for key in args.datasets},
             n_sources=args.sources,

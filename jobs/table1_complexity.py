@@ -16,7 +16,7 @@ from _common import (
 from repro.analysis.experiments import table1_complexity, table1_graphs
 
 
-def main(argv=None) -> None:
+def main(argv=None):
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default="TH,TA,BC")
     p.add_argument("--eps", type=positive_float, default=0.01)
@@ -25,12 +25,9 @@ def main(argv=None) -> None:
     p.add_argument("--impl", choices=("batch", "sequential"), default="batch")
     args = p.parse_args(argv)
     spark = make_spark("table1_complexity")
-    graphs = table1_graphs(
-        spark, {f"{key}-lite": key for key in args.datasets}
-    )
-    emit(
+    return emit(
         table1_complexity(
-            graphs,
+            table1_graphs(spark, args.datasets),
             eps=args.eps,
             rmax=args.rmax,
             n_sources=args.sources,

@@ -12,12 +12,12 @@ from repro.analysis.experiments import table2_rows
 from repro.graphs.datasets import ALL_KEYS
 
 
-def main(argv=None) -> None:
+def main(argv=None):
     p = base_parser(__doc__)
     p.add_argument("--datasets", type=dataset_keys, default=",".join(ALL_KEYS))
     args = p.parse_args(argv)
     spark = make_spark("table2_stats")
-    emit(table2_rows(spark, keys=args.datasets), args.out)
+    return emit(table2_rows(spark, keys=args.datasets), args.out)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from _common import base_parser, emit, float_grid, make_spark, positive_count
 from repro.analysis.experiments import unbalance_sweep
 
 
-def main(argv=None) -> None:
+def main(argv=None):
     p = base_parser(__doc__)
     p.add_argument("--n", type=positive_count, default=300)
     p.add_argument("--sources", type=positive_count, default=2)
@@ -22,7 +22,7 @@ def main(argv=None) -> None:
     p.add_argument("--eps-grid", type=float_grid, default="1e-1,1e-2")
     args = p.parse_args(argv)
     spark = make_spark("unbalance_sweep")
-    emit(
+    return emit(
         unbalance_sweep(
             spark,
             n=args.n,

@@ -2,8 +2,10 @@
 
 Each function returns a tidy ``pandas.DataFrame`` of rows, one per
 (dataset, method, parameter) point, mirroring the corresponding paper
-table/figure. ``jobs/*.py`` are thin spark-submit CLIs over these, and
-``benchmarks/bench_*.py`` print the rows that EXPERIMENTS.md quotes.
+table/figure. Each artifact has one runner, ``jobs/<name>.py``, a thin
+spark-submit CLI over its harness; ``benchmarks/bench_*.py`` run that job
+with the committed arguments and write the ``bench_results/*.csv`` that
+EXPERIMENTS.md quotes.
 
 Table 1 and Figs 4–17 are one sweep, :func:`_sweep`: a harness takes its
 graphs as ``{label: WeightedGraph}`` with ``n_sources`` and ``seed``; per
@@ -241,9 +243,10 @@ def unbalance_sweep(
 
 
 # ------------------------------------------------------ Table 1 (complexity)
-def table1_graphs(spark: SparkSession, lites: dict[str, str]) -> dict[str, WeightedGraph]:
+def table1_graphs(spark: SparkSession, keys) -> dict[str, WeightedGraph]:
     """The Table-1 graph set: the Figure-1 star (n=1000) and the unbalanced
-    complete graph (n=128), then the dataset lites given as ``{label: key}``."""
+    complete graph (n=128), then the dataset lites ``keys``, each labelled
+    ``"<key>-lite"``."""
     graphs = {
         "star(fig1,n=1000)": WeightedGraph.from_undirected_pandas(
             spark, gen.star_bad_case(1000)
@@ -252,7 +255,7 @@ def table1_graphs(spark: SparkSession, lites: dict[str, str]) -> dict[str, Weigh
             spark, gen.complete_unbalanced(128)
         ),
     }
-    return graphs | {label: ds.load(spark, key) for label, key in lites.items()}
+    return graphs | {f"{key}-lite": ds.load(spark, key) for key in keys}
 
 
 def table1_complexity(

@@ -34,10 +34,10 @@ from repro.graphs.graph import CSR
 
 def walk_count(*, delta: float, eps_r: float = 0.5, p_f: float) -> int:
     """ω = (2ε_r/3 + 2)·ln(2/p_f)/(ε_r²·δ) (FORA's Chernoff-derived count).
-    Raises ``ValueError`` unless δ > 0, ε_r > 0 and 0 < p_f < 1."""
-    if not (delta > 0 and eps_r > 0 and 0 < p_f < 1):
+    Raises ``ValueError`` unless 0 < δ < ∞, 0 < ε_r < ∞ and 0 < p_f < 1."""
+    if not (0 < delta < math.inf and 0 < eps_r < math.inf and 0 < p_f < 1):
         raise ValueError(
-            f"walk parameters need delta > 0, eps_r > 0 and 0 < p_f < 1, "
+            f"walk parameters need finite delta > 0, finite eps_r > 0 and 0 < p_f < 1, "
             f"got delta={delta}, eps_r={eps_r}, p_f={p_f}"
         )
     return int(math.ceil((2 * eps_r / 3 + 2) * math.log(2 / p_f) / (eps_r**2 * delta)))

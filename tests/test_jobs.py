@@ -1,28 +1,18 @@
 """Smoke tests for the spark-submit job entrypoints (tiny configurations).
 
-Jobs are imported by file path and run via their ``main(argv)`` — the
-session builder's ``getOrCreate`` reuses the test fixture's SparkSession.
+Jobs are imported as ``jobs.<name>``, as the benchmarks import them, and run
+via their ``main(argv)`` — the session builder's ``getOrCreate`` reuses the
+test fixture's SparkSession.
 """
-import importlib.util
-import sys
-from pathlib import Path
+import importlib
 
 import pandas as pd
 import pytest
 
+from jobs import additive_tradeoff, l1_tradeoff, table1_complexity, table2_stats, unbalance_sweep
 from repro.graphs.datasets import ALL_KEYS
 
 from .helpers import assert_work_within_bounds
-
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
-
-
-def _load(name: str):
-    sys.path.insert(0, str(JOBS))
-    spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 @pytest.fixture
@@ -37,7 +27,7 @@ class TestJobs:
     def test_unknown_dataset_refused_before_spark(self, name, monkeypatch, capsys):
         """An unknown ``--datasets`` key is a usage error that names the key
         and the known ones, raised before a Spark session is built."""
-        mod = _load(name)
+        mod = importlib.import_module(f"jobs.{name}")
         started = []
         monkeypatch.setattr(mod, "make_spark", started.append)
         with pytest.raises(SystemExit) as exc:
@@ -61,13 +51,16 @@ class TestJobs:
             ("table1_complexity", ["--eps", "0"], "'0'"),
             ("table1_complexity", ["--rmax", "-0.001"], "'-0.001'"),
             ("table1_complexity", ["--sources", "2.5"], "'2.5'"),
+            ("l1_tradeoff", ["--seed", "-1"], "'-1'"),
+            ("table1_complexity", ["--eps", "inf"], "'inf'"),
+            ("additive_tradeoff", ["--delta-grid", "1e-1,inf"], "'inf'"),
         ],
     )
     def test_malformed_argument_refused_before_spark(self, name, argv, bad, monkeypatch, capsys):
         """A grid, count or tolerance the harness would refuse is a usage
         error that names the bad value, raised before a Spark session is
         built and the graphs are loaded."""
-        mod = _load(name)
+        mod = importlib.import_module(f"jobs.{name}")
         started = []
         monkeypatch.setattr(mod, "make_spark", started.append)
         with pytest.raises(SystemExit) as exc:
@@ -78,7 +71,7 @@ class TestJobs:
         assert f"argument {argv[0]}" in err and bad in err
 
     def test_table2_stats(self, spark, out_csv, capsys):
-        _load("table2_stats").main(["--datasets", "BC", "--out", out_csv])
+        table2_stats.main(["--datasets", "BC", "--out", out_csv])
         df = pd.read_csv(out_csv)
         assert list(df["dataset"]) == ["BC"]
         assert "cos2_phi" in df.columns
@@ -86,7 +79,7 @@ class TestJobs:
 
     @pytest.mark.parametrize("impl", ["batch", "sequential"])
     def test_table1_complexity(self, spark, out_csv, impl):
-        _load("table1_complexity").main(
+        table1_complexity.main(
             ["--datasets", "BC", "--eps", "0.1", "--rmax", "1e-3",
              "--sources", "1", "--impl", impl, "--out", out_csv]
         )
@@ -99,7 +92,7 @@ class TestJobs:
         assert_work_within_bounds(df)
 
     def test_additive_tradeoff(self, spark, out_csv):
-        _load("additive_tradeoff").main(
+        additive_tradeoff.main(
             ["--datasets", "BC", "--sources", "1",
              "--rmax-grid", "1e-3", "--delta-grid", "1e-1", "--out", out_csv]
         )
@@ -107,7 +100,7 @@ class TestJobs:
         assert set(df["method"]) == {"EdgePush-Add", "MAPPR", "MC", "FORA", "SpeedPPR"}
 
     def test_l1_tradeoff(self, spark, out_csv):
-        _load("l1_tradeoff").main(
+        l1_tradeoff.main(
             ["--datasets", "BC", "--sources", "1",
              "--eps-grid", "1e-1", "--iters-grid", "4", "--out", out_csv]
         )
@@ -115,7 +108,7 @@ class TestJobs:
         assert set(df["method"]) == {"EdgePush", "PowForPush", "PowerMethod"}
 
     def test_unbalance_sweep(self, spark, out_csv):
-        _load("unbalance_sweep").main(
+        unbalance_sweep.main(
             ["--n", "80", "--sources", "1",
              "--rmax-grid", "1e-3", "--eps-grid", "1e-1", "--out", out_csv]
         )

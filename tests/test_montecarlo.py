@@ -47,12 +47,17 @@ WALK_PARAMS = dict(delta=1e-2, eps_r=0.5, p_f=0.01)
         ("monte_carlo", dict(p_f=2.0)),
         ("fora", dict(p_f=2.0)),
         ("fora", dict(delta=-1e-2)),
+        ("walk_count", dict(delta=float("inf"))),
+        ("walk_count", dict(eps_r=float("inf"))),
+        ("monte_carlo", dict(delta=float("inf"))),
+        ("fora", dict(delta=float("inf"))),
     ],
 )
 def test_rejects_degenerate_walk_parameters(spark, method, kwargs):
-    """A walk count needs δ > 0, ε_r > 0 and 0 < p_f < 1; anything else,
-    NaN included, is refused before any walk runs instead of failing
-    inside the walker or returning a meaningless count."""
+    """A walk count needs finite δ > 0, finite ε_r > 0 and 0 < p_f < 1;
+    anything else, NaN included, is refused before any walk runs instead
+    of failing inside the walker or returning a meaningless count (δ = ∞
+    gives ω = 0: no walks, and a division by zero in FORA's balancing)."""
     if method == "walk_count":
         query = functools.partial(walk_count, **{**WALK_PARAMS, **kwargs})
     else:

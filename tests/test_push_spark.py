@@ -10,6 +10,7 @@ and moderate tolerances; the fine-grained sweeps live in benchmarks/.
 """
 import gc
 import re
+import threading
 
 import numpy as np
 import pandas as pd
@@ -417,6 +418,25 @@ LOOP_TOLS = {"edge_push": (0.5, 0.01), "local_push": (1e-2, 1e-5)}
 MAX_CALLS_PER_SUPERSTEP = 120
 
 
+class _DeletesSent(threading.Event):
+    """A task for py4j's finalizer thread that marks every delete queued
+    before it as sent."""
+
+    def garbage_collect_object(self, target_id, enqueue):
+        self.set()
+
+
+def collect_and_flush(client) -> None:
+    """Collect garbage, then wait (at most 10 s) until py4j's finalizer
+    thread, which sends the deletes of collected JVM references one by one
+    and in order, has sent all of them: a delete then lands in the window
+    of the run whose reference it frees, not in whichever is open."""
+    gc.collect()
+    sent = _DeletesSent()
+    client.finalizer_deque.appendleft((sent, None))
+    assert sent.wait(10), "py4j finalizer thread did not drain its queue"
+
+
 def run_loop(g, method: str, tol: float):
     if method == "edge_push":
         return edge_push(g, 0, alpha=ALPHA, mode="l1", tol=tol)
@@ -440,10 +460,10 @@ def test_jvm_calls_per_superstep(spark, monkeypatch, method):
     monkeypatch.setattr(client, "send_command", counted)
     runs = []
     for tol in LOOP_TOLS[method]:
-        gc.collect()  # py4j deletes collected JVM references by round trip
+        collect_and_flush(client)
         start = calls
         steps = run_loop(g, method, tol).cost.supersteps
-        gc.collect()
+        collect_and_flush(client)
         runs.append((steps, calls - start))
     (s1, c1), (s2, c2) = runs
     assert s2 - s1 >= 10
