@@ -20,7 +20,9 @@ which is precisely the quantity Lemma 3 bounds.
 
 The superstep, with the §6.2 scan switch over the 2m edges, is
 :func:`repro.core.runtime.push_supersteps`; this module supplies the
-Theorem-2/3 thresholds, and the kernel's default unit of 1 push per edge.
+Theorem-2/3 thresholds as functions of θ's per-edge factors
+(:func:`repro.core.thresholds.edge_rule`), and the kernel's default of
+1 push per edge.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ import numpy as np
 
 from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
 # thresholds_df is not called here; perfbench's traced layer hooks look it up here
-from repro.core.thresholds import theta_edge, thresholds_df  # noqa: F401
+from repro.core.runtime import thresholds_df  # noqa: F401
+from repro.core.thresholds import edge_rule
 from repro.graphs.graph import WeightedGraph
 
 
@@ -62,7 +65,7 @@ def edge_push(
     edges, converged = push_supersteps(
         graph,
         cost,
-        theta=theta_edge(graph.csr, mode, tol),
+        theta=edge_rule(mode, tol),
         source=source,
         alpha=alpha,
         scan=scan,

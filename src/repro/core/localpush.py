@@ -10,15 +10,15 @@ and therefore Fact 1/2's error bounds at termination — hold unchanged.
 Write u's residue on its edges as R_uv = (1-α)·r(u)·A_uv/d(u), the mass a
 push of u sends along ⟨u,v⟩. The node test then holds on every edge of u at
 once exactly when R_uv ≥ (1-α)·θ·A_uv
-(:func:`repro.core.thresholds.theta_local`), and the income a node receives
+(:func:`repro.core.thresholds.local`), and the income a node receives
 feeds its out-edges as EdgePush's does: batch LocalPush is batch EdgePush at
 that threshold. So the superstep, with the PowForPush scan switch over the
 nodes with edges (a scan superstep is a power-iteration pass, cost ≈ 2m),
-is :func:`repro.core.runtime.push_supersteps` with one push per node: its
-unit is 1 on each node's first CSR edge. Work accounting matches the paper's:
-each pushed node u costs n(u) edge touches, one per edge it writes (the
-inefficiency EdgePush removes), and Lemma 11's bound is Lemma 3's at that
-threshold.
+is :func:`repro.core.runtime.push_supersteps` with one push per node
+(``per_node``), booked on each node's first CSR edge. Work accounting
+matches the paper's: each pushed node u costs n(u) edge touches, one per
+edge it writes (the inefficiency EdgePush removes), and Lemma 11's bound is
+Lemma 3's at that threshold.
 
 The per-node state ``(node, r, out)`` is numpy over the terminal edge state
 the loop collects: a node's r and pushed mass are its edges' sums divided by
@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.runtime import CostStats, PPRResult, check_query, push_supersteps
-from repro.core.thresholds import theta_local
+from repro.core.thresholds import local
 from repro.graphs.graph import WeightedGraph
 
 
@@ -63,13 +63,12 @@ def local_push(
     if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
 
-    csr = graph.csr
     cost = CostStats()
     edges, converged = push_supersteps(
         graph,
         cost,
-        theta=theta_local(csr, theta, alpha=alpha),
-        unit=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),  # u's first edge
+        theta=lambda f: local(f, theta, alpha=alpha),
+        per_node=True,
         source=source,
         alpha=alpha,
         scan=scan,

@@ -18,14 +18,23 @@ Iterative DataFrame algorithms need two things a one-shot query does not:
     would lose its hash partitioning and be shuffled again;
   - broadcast joins off: at Spark's default threshold the income join is
     a broadcast with a Spark job of its own every superstep;
-  - Arrow on, for the edge frame and the terminal collect.
+  - Arrow on, for the static edge frame and the terminal collect.
+
+The graph stays fixed while the residues move (Lemma 2), so each graph has
+one static edge frame (:func:`static_edges`), built by its first push
+query and kept on the graph: the directed edges with ``p``, LocalPush's
+push unit and θ's per-edge factors, partitioned and sorted by ``src``
+under :func:`set_loop_conf` and checkpointed.
 
 :func:`push_supersteps` is the one bulk-synchronous loop behind batch
-EdgePush, LocalPush and the Power Method. It owns the edge state, its
-Spark frame and the superstep's update; each method supplies only numpy
-arrays of its per-edge threshold θ(u,v) and push unit (LocalPush is
-EdgePush at θ(u,v) = (1-α)·θ·A_uv with one push per node). A superstep is
-one Spark job: the checkpoint that materializes the new state also counts its candidates. Every Column a
+EdgePush, LocalPush and the Power Method. It owns the edge state and the
+superstep's update; each method supplies only its per-edge threshold
+θ(u,v), as a function of :class:`repro.core.thresholds.Factors`, and
+whether pushes count per node (LocalPush is EdgePush at
+θ(u,v) = (1-α)·θ·A_uv with one push per node). θ is a Column over the
+static frame, bit-identical to the numpy θ the driver counts the first
+candidates with. A superstep is one Spark job: the checkpoint that
+materializes the new state also counts its candidates. Every Column a
 superstep uses is built once per query, before the loop, so a superstep
 only chains Dataset calls on the driver. One collect of the terminal state
 ends the loop; what follows it is numpy.
@@ -37,15 +46,17 @@ shape comparisons in EXPERIMENTS.md use them alongside wall-clock.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core import thresholds as th
 from repro.graphs.graph import CSR, WeightedGraph
 
 SCAN_FRAC = 0.125  # PowForPush's "scanThreshold" as a fraction of the push units
@@ -155,12 +166,52 @@ def check_query(csr: CSR, source: int, alpha: float) -> None:
         raise ValueError("the source has no edges")
 
 
+def static_edges(graph: WeightedGraph) -> DataFrame:
+    """The graph's static edge frame, built by the first call and kept as
+    ``graph.frame``: ``(src, dst, weight, p, unit, sqrt_weight, deg_dst,
+    sqrt_sum_dst)`` per directed edge, with ``unit`` 1 on each node's first
+    edge and θ's per-edge factors of :func:`repro.core.thresholds.edge_factors`.
+    The build sets :func:`set_loop_conf` for the 2m rows in
+    ``graph.spark``, partitions and sorts the edges by ``src`` and
+    checkpoints them, one Spark job; the frame goes with the graph."""
+    if graph.frame is None:
+        csr = graph.csr
+        set_loop_conf(graph.spark, csr.nnz)
+        f = th.edge_factors(csr)
+        edges = graph.edge_frame(
+            unit=(np.diff(csr.src, prepend=-1) != 0).astype(np.int8),
+            **{c: getattr(f, c) for c in th.FACTOR_COLUMNS if c != "weight"},
+        )
+        graph.frame = state_checkpoint(edges.repartition("src").sortWithinPartitions("src"))
+    return graph.frame
+
+
+def column_factors(f: th.Factors) -> th.Factors:
+    """The factors ``f`` as Columns of the static edge frame, with the
+    same Σ√A and a Spark floor."""
+    return dataclasses.replace(
+        f,
+        **{c: F.col(c) for c in th.FACTOR_COLUMNS},
+        floor=lambda x: F.greatest(x, F.lit(th.THETA_FLOOR)),
+    )
+
+
+def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
+    """``(src, dst, weight, p, theta)`` over the static edge frame, with
+    EdgePush's θ for ``mode`` (:func:`repro.core.thresholds.edge_rule`) as
+    the Column the push loop computes. No algorithm calls it; the
+    benchmark's traced layer hooks look it up in ``repro.core.edgepush``."""
+    rule = th.edge_rule(mode, tol)
+    theta = rule(column_factors(th.edge_factors(graph.csr)))
+    return static_edges(graph).select("src", "dst", "weight", "p", theta.alias("theta"))
+
+
 def push_supersteps(
     graph: WeightedGraph,
     cost: CostStats,
     *,
-    theta: np.ndarray,
-    unit: np.ndarray | None = None,
+    theta: Callable[[th.Factors], Any],
+    per_node: bool = False,
     source: int,
     alpha: float,
     scan: bool,
@@ -170,16 +221,19 @@ def push_supersteps(
     terminal edge state ``(src, dst, r, out)`` in CSR order, collected to
     the driver as pandas, and whether the run converged.
 
-    ``theta`` (θ(u,v)) and ``unit`` (the pushes a pushed edge books; one if
-    ``None``) are numpy arrays in CSR order. The state is the 2m edges of
-    ``graph.edge_frame`` with the residue ``r``, (1-α)·p on the source's
-    out-edges, and ``out``, the residue pushed along the edge so far. Each
-    superstep simultaneously pushes every candidate ``r ≥ theta``: its
-    pre-superstep ``r`` moves to ``out``, the pushed ``r`` summed by
-    ``dst`` is the income inc, and every edge ⟨v,w⟩ gains (1-α)·inc(v)·p.
-    The strict ``r > 0`` guard keeps zero residues from ever being
-    candidates, even where a threshold is or underflows to 0. A pushed edge
-    is one edge touch.
+    ``theta`` maps :class:`repro.core.thresholds.Factors` to θ(u,v): the
+    loop evaluates it once on numpy factors and once on the Columns of the
+    graph's static edge frame (:func:`static_edges`, built here on a
+    graph's first query), which give the same doubles. A pushed edge books
+    one push, or, with ``per_node``, the edge's ``unit``: one push per
+    node, on its first edge. The state is the 2m edges with the residue
+    ``r``, (1-α)·p on the source's out-edges, and ``out``, the residue
+    pushed along the edge so far. Each superstep simultaneously pushes
+    every candidate ``r ≥ theta``: its pre-superstep ``r`` moves to
+    ``out``, the pushed ``r`` summed by ``dst`` is the income inc, and every
+    edge ⟨v,w⟩ gains (1-α)·inc(v)·p. The strict ``r > 0`` guard keeps zero
+    residues from ever being candidates, even where a threshold is or
+    underflows to 0. A pushed edge is one edge touch.
 
     Scan switch (§6.2, Wu et al.'s PowForPush): with ``scan`` set, a
     superstep whose candidates' units outnumber :data:`SCAN_FRAC` · Σunit
@@ -187,22 +241,38 @@ def push_supersteps(
     array, instead of only the candidates; pushes and touches are booked
     for what is pushed.
 
-    Under :func:`set_loop_conf` for the 2m rows, in ``graph.spark``, the
-    state is partitioned by ``src``, so a superstep shuffles at most the
-    income, and nothing at one partition (every state of at most
-    :data:`ROWS_PER_PARTITION` rows); it is checkpointed initially and
-    after every superstep. The checkpoint's own job also computes, as
-    observed metrics (``DataFrame.observe``), the next superstep's candidate
-    edges and units, and the same for r > 0. So a superstep is one Spark
-    job. The run stops when no edge is a candidate, or unconverged after
+    Superstep 1 reads a projection of the static frame (θ, r, ``out`` = 0),
+    partitioned by ``src`` like every state after it, so a superstep
+    shuffles at most the income, and nothing at one partition (every state
+    of at most :data:`ROWS_PER_PARTITION` rows). The driver counts
+    superstep 1's candidate edges and units, and the same for r > 0, in
+    numpy over the source's out-edges; the checkpoint after each superstep
+    computes the next superstep's counts as observed metrics
+    (``DataFrame.observe``) in its own job. So a superstep is one Spark job.
+    The run stops when no edge is a candidate, or unconverged after
     ``max_supersteps``; ``cost`` brackets the loop, and one job after it
-    collects the terminal state.
+    collects the terminal state: a query on a graph whose frame is built
+    launches supersteps + 1 jobs.
     """
     csr = graph.csr
-    set_loop_conf(graph.spark, csr.nnz)
-    per_edge = {"theta": theta} if unit is None else {"theta": theta, "unit": unit}
-    edges = graph.edge_frame(**per_edge).select("src", "dst", "p", *per_edge)
-    units, scan_size = (F.lit(1), csr.nnz) if unit is None else (F.col("unit"), int(unit.sum()))
+    edges = static_edges(graph)
+    factors = th.edge_factors(csr)
+    lo, hi = csr.indptr[source], csr.indptr[source + 1]
+    r0 = (1.0 - alpha) * (csr.weights[lo:hi] / csr.deg[source])  # the frame's (1-α)·p
+    cand0 = (r0 >= theta(factors)[lo:hi]) & (r0 > 0)
+    nz0 = r0 > 0
+    if per_node:  # the source's unit sits on its first edge
+        unit_col, units, scan_size = ["unit"], F.col("unit"), int(np.count_nonzero(np.diff(csr.indptr)))
+        unit0 = np.arange(hi - lo) == 0
+    else:
+        unit_col, units, scan_size = [], F.lit(1), csr.nnz
+        unit0 = np.ones(hi - lo, dtype=bool)
+    agg = {
+        "n_cand": int(cand0.sum()),
+        "cand_units": int(unit0[cand0].sum()),
+        "n_nz": int(nz0.sum()),
+        "nz_units": int(unit0[nz0].sum()),
+    }
     r, out, p = F.col("r"), F.col("out"), F.col("p")
     is_cand = (r >= F.col("theta")) & (r > 0)
     nonzero = r > 0
@@ -212,8 +282,10 @@ def push_supersteps(
         F.sum(nonzero.cast("long")).alias("n_nz"),
         F.sum(F.when(nonzero, units).otherwise(0)).alias("nz_units"),
     )
-    static = [F.col(c) for c in edges.columns]
+    static = [F.col(c) for c in ("src", "dst", "p", "theta", *unit_col)]
     income = F.sum("r").alias("inc")
+    # the income v receives feeds v's out-edges: group it by dst as src
+    dst_as_src = F.col("dst").alias("src")
     received = (1.0 - alpha) * F.coalesce(F.col("inc"), F.lit(0.0)) * p
 
     def step(push_cond: Column) -> Callable[[DataFrame], DataFrame]:
@@ -222,11 +294,8 @@ def push_supersteps(
             (F.when(push_cond, 0.0).otherwise(r) + received).alias("r"),
             (out + F.when(push_cond, r).otherwise(0.0)).alias("out"),
         ]
-        # the income v receives feeds v's out-edges: rename dst to src to join
         return lambda s: s.join(
-            s.filter(push_cond).groupBy("dst").agg(income).withColumnRenamed("dst", "src"),
-            "src",
-            "left",
+            s.filter(push_cond).groupBy(dst_as_src).agg(income), "src", "left"
         ).select(*columns)
 
     def counted_checkpoint(df: DataFrame) -> tuple[DataFrame, dict]:
@@ -237,11 +306,14 @@ def push_supersteps(
     cand_step = step(is_cand)
     scan_step = step(nonzero) if scan else None
     state = edges.select(
-        *static,
+        "src",
+        "dst",
+        "p",
+        theta(column_factors(factors)).alias("theta"),
+        *unit_col,
         F.when(F.col("src") == source, (1.0 - alpha) * p).otherwise(0.0).alias("r"),
         F.lit(0.0).alias("out"),
     )
-    state, agg = counted_checkpoint(state.repartition("src"))
     cost.start()
     for _ in range(max_supersteps):
         if not agg["n_cand"]:

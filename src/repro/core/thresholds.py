@@ -8,11 +8,16 @@ derives Cauchy–Schwarz-optimal settings:
                             θ(u,v) = r_max·d(v)·√A_uv / Σ_{x∈N(v)} √A_xv
 
 LocalPush's node threshold d(u)·θ is the per-edge threshold
-θ(u,v) = (1-α)·θ·A_uv on its edge residues (:func:`theta_local`).
+θ(u,v) = (1-α)·θ·A_uv on its edge residues (:func:`local`).
 
-All three are numpy arrays over the CSR's directed edges, which the push
-kernels take as they are; :func:`theta_edge` maps an EdgePush mode to its
-thresholds, and :func:`thresholds_df` is their Spark view.
+Each formula is written once (:func:`l1`, :func:`additive`, :func:`local`)
+over :class:`Factors` and evaluated two ways: on numpy arrays in CSR order
+(:func:`edge_factors`), which :func:`theta_l1`, :func:`theta_additive` and
+:func:`theta_local` return for the sequential references and the Table-1
+bounds, and on the Columns of a graph's static edge frame
+(``repro.core.runtime.column_factors``), where the push loop computes θ.
+Both apply the same operations in the same order and the same floor, so
+the two θ are bit-identical.
 
 One cost bound serves both push algorithms, per source s with PPR vector
 π_s: Lemma 3's :func:`edgepush_source_cost`, which at :func:`theta_local`
@@ -23,10 +28,12 @@ source is the same bound at the stationary vector π̄ = d/‖A‖₁, the mean 
 """
 from __future__ import annotations
 
-import numpy as np
-from pyspark.sql import DataFrame
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from repro.graphs.graph import CSR, WeightedGraph
+import numpy as np
+
+from repro.graphs.graph import CSR
 
 
 # Smallest normal double. θ ∝ √A_uv can *underflow to 0* on graphs with
@@ -37,50 +44,93 @@ from repro.graphs.graph import CSR, WeightedGraph
 THETA_FLOOR = float(np.finfo(np.float64).tiny)
 
 
-# --------------------------------------------------------------- numpy (CSR)
-def theta_l1(csr: CSR, eps: float) -> np.ndarray:
-    """Theorem-2 thresholds, per directed edge of the CSR."""
-    sq = np.sqrt(csr.weights)
-    return np.maximum(eps * sq / sq.sum(), THETA_FLOOR)
+@dataclass(frozen=True)
+class Factors:
+    """θ's factors over the directed edges ⟨u,v⟩: A_uv (``weight``), √A_uv,
+    d(v) and S(v) = Σ_{x∈N(v)} √A_xv, as numpy arrays in CSR order or as
+    Spark Columns of the same names; ``sqrt_total`` = Σ_Ē √A_xy, a double
+    either way; and ``floor``, the elementwise max with :data:`THETA_FLOOR`
+    for that kind of value."""
+
+    weight: Any
+    sqrt_weight: Any
+    deg_dst: Any
+    sqrt_sum_dst: Any
+    sqrt_total: float
+    floor: Callable[[Any], Any]
 
 
-def theta_additive(csr: CSR, rmax: float) -> np.ndarray:
-    """Theorem-3 thresholds, per directed edge ⟨u,v⟩ of the CSR.
+# the per-edge fields of Factors: the factor columns of the static edge frame
+FACTOR_COLUMNS = ("weight", "sqrt_weight", "deg_dst", "sqrt_sum_dst")
 
-    Depends on the *destination* v: θ(u,v) = r_max·d(v)·√A_uv / S(v) with
-    S(v) = Σ_{x∈N(v)} √A_xv. The graph is symmetric, so S(v) equals the
-    sqrt-weight sum over v's out-edges.
-    """
+
+def edge_factors(csr: CSR) -> Factors:
+    """θ's factors as numpy arrays over the CSR's directed edges. The graph
+    is symmetric, so S(v) is the sqrt-weight sum over v's out-edges."""
     sq = np.sqrt(csr.weights)
     s_per_node = np.bincount(csr.src, weights=sq, minlength=csr.n)
     v = csr.indices
-    return np.maximum(rmax * csr.deg[v] * sq / s_per_node[v], THETA_FLOOR)
+    return Factors(
+        weight=csr.weights,
+        sqrt_weight=sq,
+        deg_dst=csr.deg[v],
+        sqrt_sum_dst=s_per_node[v],
+        sqrt_total=float(sq.sum()),
+        floor=lambda x: np.maximum(x, THETA_FLOOR),
+    )
 
 
-def theta_local(csr: CSR, theta: float, *, alpha: float) -> np.ndarray:
+# ------------------------------------------------------------- the formulas
+def l1(f: Factors, eps: float):
+    """Theorem 2: θ(u,v) = ε·√A_uv / Σ√A, floored."""
+    return f.floor(eps * f.sqrt_weight / f.sqrt_total)
+
+
+def additive(f: Factors, rmax: float):
+    """Theorem 3: θ(u,v) = r_max·d(v)·√A_uv / S(v), floored."""
+    return f.floor(rmax * f.deg_dst * f.sqrt_weight / f.sqrt_sum_dst)
+
+
+def local(f: Factors, theta: float, *, alpha: float):
     """LocalPush's node test r(u) ≥ d(u)·θ as a per-edge threshold
     (1-α)·θ·A_uv on its edge residues R_uv = (1-α)·r(u)·A_uv/d(u). No
     floor: θ = 0 is the Power Method, which pushes every edge with
     residue."""
-    return (1.0 - alpha) * theta * csr.weights
+    return (1.0 - alpha) * theta * f.weight
 
 
-_THETAS = {"l1": theta_l1, "additive": theta_additive}
+_RULES = {"l1": l1, "additive": additive}
+
+
+def edge_rule(mode: str, tol: float) -> Callable[[Factors], Any]:
+    """EdgePush's θ for ``mode`` as a function of the factors: ``"l1"``
+    (Theorem 2, ``tol`` = ε) or ``"additive"`` (Theorem 3, ``tol`` =
+    r_max). Raises ``ValueError`` for another mode."""
+    if mode not in _RULES:
+        raise ValueError(f"unknown threshold mode: {mode!r}")
+    rule = _RULES[mode]
+    return lambda f: rule(f, tol)
+
+
+# --------------------------------------------------------------- numpy (CSR)
+def theta_l1(csr: CSR, eps: float) -> np.ndarray:
+    """Theorem-2 thresholds, per directed edge of the CSR."""
+    return l1(edge_factors(csr), eps)
+
+
+def theta_additive(csr: CSR, rmax: float) -> np.ndarray:
+    """Theorem-3 thresholds, per directed edge ⟨u,v⟩ of the CSR."""
+    return additive(edge_factors(csr), rmax)
+
+
+def theta_local(csr: CSR, theta: float, *, alpha: float) -> np.ndarray:
+    """LocalPush's per-edge thresholds (:func:`local`) over the CSR."""
+    return local(edge_factors(csr), theta, alpha=alpha)
 
 
 def theta_edge(csr: CSR, mode: str, tol: float) -> np.ndarray:
-    """EdgePush's thresholds for ``mode``: ``"l1"`` (Theorem 2, ``tol`` = ε)
-    or ``"additive"`` (Theorem 3, ``tol`` = r_max)."""
-    if mode not in _THETAS:
-        raise ValueError(f"unknown threshold mode: {mode!r}")
-    return _THETAS[mode](csr, tol)
-
-
-# ------------------------------------------------------------ Spark view
-def thresholds_df(graph: WeightedGraph, *, mode: str, tol: float) -> DataFrame:
-    """Edge DataFrame ``(src, dst, weight, p, theta)`` with
-    :func:`theta_edge`'s thresholds."""
-    return graph.edge_frame(theta=theta_edge(graph.csr, mode, tol))
+    """EdgePush's thresholds for ``mode`` (:func:`edge_rule`) over the CSR."""
+    return edge_rule(mode, tol)(edge_factors(csr))
 
 
 # ------------------------------------------------------------ Table-1 cost bounds

@@ -11,10 +11,10 @@ in ``repro.core``:
   the graph: the push loops' thresholds, 2m, ‖A‖₁, cos²φ, the numpy ground
   truth, the sequential references, the Monte-Carlo walker and the
   sweep-cut metric all read it;
-- a :class:`WeightedGraph` that holds the CSR and derives from it the
-  Spark DataFrame the distributed push loops start from: the edges with
-  transition probabilities ``p = A_uv / d(u)`` and per-edge columns such as
-  the thresholds.
+- a :class:`WeightedGraph` that holds the CSR and derives from it Spark
+  DataFrames of the edges with transition probabilities ``p = A_uv / d(u)``
+  and further per-edge columns, among them the one static edge frame the
+  distributed push loops read (``repro.core.runtime.static_edges``).
 
 Every graph is built from an undirected edge list on the driver
 (:meth:`WeightedGraph.from_undirected_pandas`), which is where the input is
@@ -96,13 +96,20 @@ class WeightedGraph:
     shares that session's SparkContext and cache but has its own SQL conf.
     Every frame of the graph lives in it: the push loop's state, whose
     settings the loop sets there (``repro.core.runtime.set_loop_conf``),
-    and the ``transition``, ``degrees`` and ``thresholds_df`` views.
+    and the ``transition`` and ``degrees`` views.
+
+    ``frame`` is the graph's static edge frame, ``None`` until the first
+    push query builds it (``repro.core.runtime.static_edges``): the edges
+    with ``p``, LocalPush's push unit and θ's per-edge factors, partitioned
+    by ``src`` and checkpointed. Every push query on the graph reads it, and
+    its checkpoint is released with the graph.
     """
 
     def __init__(self, spark: SparkSession, csr: CSR):
         self.spark = spark.newSession()
         self.csr = csr
         self.n = csr.n
+        self.frame: DataFrame | None = None
 
     # ---------------------------------------------------------- construction
     @staticmethod

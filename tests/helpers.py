@@ -90,13 +90,16 @@ GRAPH_BUILDERS = {
     "complete_unbalanced": small_unbalanced,
 }
 
+# the graphs the Spark push loops are tested on
+SPARK_GRAPHS = ["two_node", "star", "er_lognormal", "complete_unbalanced"]
+
 _CACHE: dict[str, WeightedGraph] = {}
 
 
 def get_graph(spark, name: str) -> WeightedGraph:
-    """Memoized graph lookup — WeightedGraph is immutable, so sharing one
-    instance (and its cached CSR/degrees) across tests is safe and keeps
-    the session fast."""
+    """Memoized graph lookup — a WeightedGraph's edges never change, so
+    sharing one instance (and its static edge frame, built by its first
+    push query) across tests is safe and keeps the session fast."""
     if name not in _CACHE:
         _CACHE[name] = GRAPH_BUILDERS[name](spark)
     return _CACHE[name]

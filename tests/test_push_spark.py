@@ -26,10 +26,9 @@ from repro.core.power import ground_truth, power_method
 from repro.core.runtime import state_checkpoint
 from repro.core.sequential import sequential_edge_push, sequential_local_push
 
-from .helpers import DEGENERATE_QUERIES, edge_and_isolated, get_graph
+from .helpers import DEGENERATE_QUERIES, SPARK_GRAPHS, edge_and_isolated, get_graph, small_er
 
 ALPHA = 0.2
-SPARK_GRAPHS = ["two_node", "star", "er_lognormal", "complete_unbalanced"]
 
 
 @pytest.fixture(params=SPARK_GRAPHS)
@@ -326,11 +325,12 @@ def test_rejects_bad_tolerance(spark, method, kwargs):
     assert highest_job_id(spark) == first
 
 
-# Spark jobs a push query runs besides one per superstep: the initial
-# checkpoint of the edge state and the terminal state's collect. EdgePush and
-# LocalPush share that kernel; 2m and the thresholds come from the CSR, and
-# the estimate is numpy over the collected state.
-FIXED_JOBS = 2
+# Spark jobs a push query runs besides one per superstep, on a graph whose
+# static edge frame is built: the terminal state's collect. EdgePush and
+# LocalPush share that kernel; 2m, superstep 1's candidate counts and the
+# numpy θ come from the CSR, and the estimate is numpy over the collected
+# state. The frame itself costs one more job, on the graph's first query.
+FIXED_JOBS = 1
 
 
 def highest_job_id(spark) -> int:
@@ -338,8 +338,14 @@ def highest_job_id(spark) -> int:
     return max(ids) if ids else -1
 
 
+def built(g):
+    """``g`` with its static edge frame built."""
+    runtime.static_edges(g)
+    return g
+
+
 def assert_jobs_per_query(spark, method: str) -> None:
-    g = get_graph(spark, "er_lognormal")
+    g = built(get_graph(spark, "er_lognormal"))
     theta = 0.05 / g.csr.norm_a()
     first = highest_job_id(spark)
     if method == "edge_push":
@@ -380,11 +386,49 @@ def test_power_method_jobs(spark):
     """The Power Method's iterate π̂ + r is numpy over LocalPush's collected
     state: k iterations launch no job beyond those of k LocalPush
     supersteps."""
-    g = get_graph(spark, "er_lognormal")
+    g = built(get_graph(spark, "er_lognormal"))
     iters = 5
     first = highest_job_id(spark)
     power_method(g, 0, alpha=ALPHA, iters=iters)
     assert highest_job_id(spark) - first <= iters + FIXED_JOBS
+
+
+@pytest.mark.parametrize("graph_name", SPARK_GRAPHS)
+def test_power_method_zero_iterations(spark, graph_name):
+    """Zero iterations are zero supersteps: π̂ = 0 and r = e_s (r(s) is
+    Σ_v (1-α)·p_sv / (1-α), 1 up to rounding), the Power Method's iterate
+    e_s, from one Spark job (the collect)."""
+    g = built(get_graph(spark, graph_name))
+    first = highest_job_id(spark)
+    res = local_push(g, 0, alpha=ALPHA, theta=0.0, max_supersteps=0)
+    assert highest_job_id(spark) - first == 1
+    assert res.cost.supersteps == 0 and not res.converged
+    e_s = np.eye(g.n)[0]
+    assert not res.estimate.any()
+    np.testing.assert_allclose(res.state["r"], e_s, rtol=1e-12, atol=0)
+    first = highest_job_id(spark)
+    pm = power_method(g, 0, alpha=ALPHA, iters=0)
+    assert highest_job_id(spark) - first == 1
+    assert pm.cost.supersteps == 0
+    np.testing.assert_allclose(pm.estimate, e_s, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("graph_name", SPARK_GRAPHS)
+def test_edge_push_no_first_candidate(spark, graph_name):
+    """At a tolerance whose θ exceeds every residue on the source's
+    out-edges, EdgePush ends before its first superstep, converged: π̂ =
+    α·e_s, and R = (1-α)·p on the source's edges, 0 elsewhere, from one
+    Spark job (the collect)."""
+    g = built(get_graph(spark, graph_name))
+    csr = g.csr
+    first = highest_job_id(spark)
+    res = edge_push(g, 0, alpha=ALPHA, mode="l1", tol=1e6)
+    assert highest_job_id(spark) - first == 1
+    assert res.cost.supersteps == 0 and res.converged
+    np.testing.assert_array_equal(res.estimate, ALPHA * np.eye(g.n)[0])
+    p = csr.weights / csr.deg[csr.src]
+    np.testing.assert_array_equal(res.state["r"], np.where(csr.src == 0, (1 - ALPHA) * p, 0.0))
+    assert not res.state["out"].any()
 
 
 @pytest.mark.parametrize(
@@ -413,7 +457,8 @@ def test_result_holds_no_spark_dataframe(spark, method, kwargs):
 # (EdgePush ℓ1: 14 and 34, LocalPush θ: 4 and 30) to read a per-superstep slope.
 LOOP_TOLS = {"edge_push": (0.5, 0.01), "local_push": (1e-2, 1e-5)}
 # py4j commands the driver sends per superstep. A superstep chains Dataset
-# calls over Columns built once per query: about 75-85 measured. Rebuilding
+# calls over Columns built once per query: 63-64 measured here (69-70
+# when each superstep renamed the income's dst to src). Rebuilding
 # every Column each superstep, and deleting it again, costs 320-410.
 MAX_CALLS_PER_SUPERSTEP = 120
 
@@ -441,6 +486,25 @@ def run_loop(g, method: str, tol: float):
     if method == "edge_push":
         return edge_push(g, 0, alpha=ALPHA, mode="l1", tol=tol)
     return local_push(g, 0, alpha=ALPHA, theta=tol)
+
+
+@pytest.mark.parametrize("method", sorted(LOOP_TOLS))
+def test_frame_built_once_per_graph(spark, method):
+    """A graph's static edge frame is built by its first push query, one
+    job on top of that query's, and read by every later query: a second
+    query launches at most supersteps + FIXED_JOBS jobs and keeps the same
+    frame."""
+    g = small_er(spark)
+    assert g.frame is None
+    first = highest_job_id(spark)
+    res = run_loop(g, method, LOOP_TOLS[method][0])
+    assert highest_job_id(spark) - first == res.cost.supersteps + FIXED_JOBS + 1
+    frame = g.frame
+    assert frame is not None
+    first = highest_job_id(spark)
+    res = run_loop(g, method, LOOP_TOLS[method][1])
+    assert highest_job_id(spark) - first <= res.cost.supersteps + FIXED_JOBS
+    assert g.frame is frame
 
 
 @pytest.mark.parametrize("method", sorted(LOOP_TOLS))
@@ -490,14 +554,14 @@ def record_exchanges(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("method", sorted(LOOP_TOLS))
 def test_superstep_has_no_exchange(spark, monkeypatch, method, graph_name):
     """An edge state of at most ROWS_PER_PARTITION rows is one shuffle
-    partition: the initial repartition by src is the query's only exchange,
-    and a superstep's groupBy and join shuffle nothing."""
-    g = get_graph(spark, graph_name)
+    partition: the static edge frame's repartition by src, built once per
+    graph, is its only exchange, and no checkpoint of a query shuffles."""
+    g = built(get_graph(spark, graph_name))
     assert g.csr.nnz <= runtime.ROWS_PER_PARTITION
     exchanges = record_exchanges(monkeypatch)
     res = run_loop(g, method, LOOP_TOLS[method][0])
     assert res.cost.supersteps >= 1
-    assert exchanges == [1] + [0] * res.cost.supersteps
+    assert exchanges == [0] * res.cost.supersteps
 
 
 @pytest.mark.parametrize("method", sorted(LOOP_TOLS))
@@ -505,20 +569,22 @@ def test_one_exchange_per_superstep(spark, monkeypatch, method):
     """Spread over the cores, the state stays partitioned by its join key
     across checkpoints, so a superstep shuffles only the pushed mass: one
     exchange, not a re-shuffle of the whole state. The partition count
-    changes neither the pushes nor the estimate."""
+    changes neither the pushes nor the estimate. The static edge frame's
+    partitioning is fixed when it is built, so the spread run is on a
+    fresh graph."""
     cores = spark.sparkContext.defaultParallelism
     if cores < 2:
         pytest.skip("one core gives one shuffle partition")
-    g = get_graph(spark, "er_lognormal")
     tol = LOOP_TOLS[method][0]
-    single = run_loop(g, method, tol)
+    single = run_loop(get_graph(spark, "er_lognormal"), method, tol)
     monkeypatch.setattr(runtime, "ROWS_PER_PARTITION", 1)
+    g = built(small_er(spark))
     assert runtime.shuffle_partitions(g.csr.nnz, cores) == cores
+    assert g.frame.rdd.getNumPartitions() == cores
     exchanges = record_exchanges(monkeypatch)
     res = run_loop(g, method, tol)
     assert res.cost.supersteps > 3
-    # the initial state's repartition, then one per superstep
-    assert exchanges == [1] * (res.cost.supersteps + 1)
+    assert exchanges == [1] * res.cost.supersteps
     work = [(r.cost.supersteps, r.cost.pushes, r.cost.edge_touches) for r in (res, single)]
     assert work[0] == work[1]
     np.testing.assert_allclose(res.estimate, single.estimate, rtol=1e-12, atol=0)

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+from repro.core import runtime
 from repro.core import thresholds as th
 from repro.core.power import ground_truth
+from repro.graphs.affinity import calibrated_affinity_graph
 from repro.oracle import assert_equivalent
 
-from .helpers import GRAPH_BUILDERS, edge_and_isolated, get_graph, stationary
+from .helpers import GRAPH_BUILDERS, SPARK_GRAPHS, build, edge_and_isolated, get_graph, stationary
 
 ALPHA = 0.2
 
@@ -65,11 +67,53 @@ class TestNumpyThetas:
             assert ep_expected(csr, t) >= cost_opt - 1e-9
 
 
+def column_thetas(g, rules: dict) -> dict:
+    """Each rule's θ as the push loop computes it, a Column over the
+    graph's static edge frame, collected in CSR order."""
+    f = runtime.column_factors(th.edge_factors(g.csr))
+    pdf = (
+        runtime.static_edges(g)
+        .select("src", "dst", *(rule(f).alias(name) for name, rule in rules.items()))
+        .toPandas()
+        .sort_values(["src", "dst"])
+    )
+    np.testing.assert_array_equal(pdf["src"], g.csr.src)
+    np.testing.assert_array_equal(pdf["dst"], g.csr.indices)
+    return {name: pdf[name].to_numpy() for name in rules}
+
+
+def affinity_floor(spark):
+    """A §6.3 affinity graph whose Gaussian-kernel weights reach the
+    generator's 1e-300 floor: Theorem 3's θ hits THETA_FLOOR on some edges
+    at every r_max, Theorem 2's at ε = 1e-160, and LocalPush's θ at
+    θ = 1e-8 is subnormal."""
+    pdf = calibrated_affinity_graph(30, kappa=1, sigma_n2=1e3, target_cos2=0.05, seed=0)
+    return build(spark, pdf)
+
+
+# (formula, tolerance, its numpy function over the CSR)
+THETA_RULES = {
+    f"{name}-{tol:g}": (formula, tol, numpy_fn)
+    for name, formula, numpy_fn, tols in [
+        ("l1", th.l1, th.theta_l1, (0.5, 0.05, 1e-160)),
+        ("additive", th.additive, th.theta_additive, (1.0, 1e-3, 1e-9)),
+        (
+            "local",
+            lambda f, t: th.local(f, t, alpha=ALPHA),
+            lambda csr, t: th.theta_local(csr, t, alpha=ALPHA),
+            (1e-3, 1e-8, 0.0),
+        ),
+    ]
+    for tol in tols
+}
+
+
 class TestSparkThetas:
     @pytest.mark.parametrize("mode,tol", [("l1", 0.05), ("additive", 1e-3)])
     def test_spark_matches_numpy(self, any_graph, mode, tol):
+        """``thresholds_df``'s θ Column is the numpy θ, bit for bit."""
         df = (
-            th.thresholds_df(any_graph, mode=mode, tol=tol)
+            runtime.thresholds_df(any_graph, mode=mode, tol=tol)
             .toPandas()
             .sort_values(["src", "dst"])
         )
@@ -78,10 +122,29 @@ class TestSparkThetas:
             "l1": lambda: th.theta_l1(csr, tol),
             "additive": lambda: th.theta_additive(csr, tol),
         }[mode]
-        assert np.allclose(df["theta"].to_numpy(), fn())
+        assert np.array_equal(df["theta"].to_numpy(), fn())
+
+    @pytest.mark.parametrize("graph_name", [*SPARK_GRAPHS, "affinity_floor"])
+    def test_column_theta_is_numpy_theta(self, spark, graph_name):
+        """Each formula evaluated as a Spark Column over the static frame
+        gives exactly the doubles it gives on numpy factors, the floor, θ = 0
+        and subnormal values included: the push loop's θ and the numpy θ it
+        counts its first candidates with are one θ."""
+        g = affinity_floor(spark) if graph_name == "affinity_floor" else get_graph(spark, graph_name)
+        csr = g.csr
+        rules = {name: (lambda f, r=rule, t=tol: r(f, t)) for name, (rule, tol, _) in THETA_RULES.items()}
+        got = column_thetas(g, rules)
+        for name, (_, tol, numpy_fn) in THETA_RULES.items():
+            want = numpy_fn(csr, tol)
+            assert np.array_equal(got[name], want), name
+        assert not got["local-0"].any()
+        if graph_name == "affinity_floor":
+            for name in ("l1-1e-160", "additive-1", "additive-0.001"):
+                assert (got[name] == th.THETA_FLOOR).any(), name
+            assert (got["local-1e-08"] < th.THETA_FLOOR).any()
 
     def test_spark_l1_matches_oracle(self, any_graph):
-        df = th.thresholds_df(any_graph, mode="l1", tol=0.1)
+        df = runtime.thresholds_df(any_graph, mode="l1", tol=0.1)
         assert_equivalent(
             df,
             "SELECT src, dst, weight, "
@@ -95,7 +158,7 @@ class TestSparkThetas:
         # tol=1.0 keeps theta values O(1): the oracle compares floats
         # rounded to 6 decimals, which is too coarse for 1e-4-scale values
         # whose Spark/DuckDB summation orders differ in the last ulp
-        df = th.thresholds_df(any_graph, mode="additive", tol=1.0)
+        df = runtime.thresholds_df(any_graph, mode="additive", tol=1.0)
         assert_equivalent(
             df,
             "SELECT src, dst, weight, "
@@ -108,7 +171,7 @@ class TestSparkThetas:
 
     def test_unknown_mode_raises(self, any_graph):
         with pytest.raises(ValueError):
-            th.thresholds_df(any_graph, mode="nope", tol=0.1)
+            runtime.thresholds_df(any_graph, mode="nope", tol=0.1)
 
 
 class TestCostBounds:
